@@ -237,7 +237,7 @@ func BenchmarkQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tree.RangeQuery(queries[i%len(queries)]); err != nil {
+		if _, _, err := tree.RangeQuery(context.Background(), queries[i%len(queries)], core.QueryOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,12 +249,12 @@ func BenchmarkQuery(b *testing.B) {
 // The fixture is built once and shared; queries are read-only.
 var parallelFixture struct {
 	once    sync.Once
-	ct      *uncertain.ConcurrentTree
+	ct      *uncertain.Tree
 	queries []uncertain.RangeQuery
 	err     error
 }
 
-func parallelBenchFixture(b *testing.B) (*uncertain.ConcurrentTree, []uncertain.RangeQuery) {
+func parallelBenchFixture(b *testing.B) (*uncertain.Tree, []uncertain.RangeQuery) {
 	parallelFixture.once.Do(func() {
 		cfg := benchConfig()
 		cfg.Scale = 0.05
@@ -305,7 +305,7 @@ func BenchmarkFig9SearchHotCache(b *testing.B) {
 }
 
 // BenchmarkFig9SearchSerial is the baseline: one goroutine, one query at a
-// time through ConcurrentTree.Search.
+// time through Tree.Search.
 func BenchmarkFig9SearchSerial(b *testing.B) {
 	ct, queries := parallelBenchFixture(b)
 	b.ReportAllocs()
@@ -370,7 +370,7 @@ func BenchmarkFig9SearchPrefetch(b *testing.B) {
 // scatter-gathers across the shards, overlapping its page stalls, so
 // queries/sec grows with shards even on one core. The per-shard buffer
 // pool is the single tree's divided by the shard count (constant total
-// cache budget); shards=1 is a plain ConcurrentTree. The mixed read/write
+// cache budget); shards=1 is a plain Tree. The mixed read/write
 // version (with a live writer stream) runs via
 // `go run ./cmd/ubench -experiment sharded`.
 func BenchmarkFig9SearchSharded(b *testing.B) {

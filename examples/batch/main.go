@@ -1,5 +1,5 @@
 // Command batch demonstrates the parallel batch query engine: one shared
-// ConcurrentTree serving a fan-out of probabilistic range queries, with the
+// Tree serving a fan-out of probabilistic range queries, with the
 // aggregated cost metrics the paper reports per query.
 package main
 
@@ -13,17 +13,17 @@ import (
 )
 
 func main() {
-	ct, err := uncertain.NewConcurrentTree(uncertain.Config{Dimensions: 2})
+	tree, err := uncertain.NewTree(uncertain.Config{Dimensions: 2})
 	if err != nil {
 		panic(err)
 	}
-	defer ct.Close()
+	defer tree.Close()
 
 	// 2000 delivery vehicles with uncertain GPS positions.
 	rng := rand.New(rand.NewSource(7))
 	for id := int64(0); id < 2000; id++ {
 		center := uncertain.Pt(rng.Float64()*10000, rng.Float64()*10000)
-		if err := ct.Insert(id, uncertain.UniformCircle(center, 30)); err != nil {
+		if err := tree.Insert(id, uncertain.UniformCircle(center, 30)); err != nil {
 			panic(err)
 		}
 	}
@@ -45,7 +45,7 @@ func main() {
 	// query individually instead.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	eng := uncertain.NewQueryEngine(ct, uncertain.EngineOptions{Workers: 4})
+	eng := uncertain.NewQueryEngine(tree, uncertain.EngineOptions{Workers: 4})
 	results, stats, err := eng.SearchBatch(ctx, queries)
 	if err != nil {
 		panic(err)

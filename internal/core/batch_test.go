@@ -106,7 +106,7 @@ func TestBatchStateMachine(t *testing.T) {
 	}
 }
 
-// TestGCStatsCounters checks the extended GC surface end to end: deletes
+// TestGCInfoCounters checks the extended GC surface end to end: deletes
 // queue per-page tombstones, the counters move, and an idle reclaim drains
 // everything.
 func TestGCInfoCounters(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sort"
@@ -101,7 +102,7 @@ func TestRangeQueryMatchesBruteForce(t *testing.T) {
 			rq := randomQueryRect(rng, 1000)
 			pq := 0.05 + rng.Float64()*0.9
 			query := Query{Rect: rq, Prob: pq}
-			got, stats, err := tree.RangeQuery(query)
+			got, stats, err := tree.RangeQuery(context.Background(), query, QueryOpts{})
 			if err != nil {
 				t.Fatalf("%v query %d: %v", kind, q, err)
 			}
@@ -126,7 +127,7 @@ func TestValidatedResultsAreMarked(t *testing.T) {
 	tree := buildTree(t, UTree, objs, 0)
 	// A giant query validates everything without probability computations.
 	all := Query{Rect: geom.NewRect(geom.Point{-100, -100}, geom.Point{700, 700}), Prob: 0.5}
-	got, stats, err := tree.RangeQuery(all)
+	got, stats, err := tree.RangeQuery(context.Background(), all, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestDisjointQueryTouchesFewNodes(t *testing.T) {
 	objs := makeObjects(1000, 1000, rng)
 	tree := buildTree(t, UTree, objs, 0)
 	q := Query{Rect: geom.NewRect(geom.Point{5000, 5000}, geom.Point{5100, 5100}), Prob: 0.5}
-	got, stats, err := tree.RangeQuery(q)
+	got, stats, err := tree.RangeQuery(context.Background(), q, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestDeleteThenQuery(t *testing.T) {
 		scan := NewScan(remaining, 9, 0, true, 1)
 		for q := 0; q < 50; q++ {
 			query := Query{Rect: randomQueryRect(rng, 800), Prob: 0.05 + rng.Float64()*0.9}
-			got, _, err := tree.RangeQuery(query)
+			got, _, err := tree.RangeQuery(context.Background(), query, QueryOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,10 +226,10 @@ func TestDeleteAllLeavesEmptyUsableTree(t *testing.T) {
 	if err := tree.Insert(objs[0]); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := tree.RangeQuery(Query{
+	got, _, err := tree.RangeQuery(context.Background(), Query{
 		Rect: geom.NewRect(geom.Point{-1000, -1000}, geom.Point{2000, 2000}),
 		Prob: 0.5,
-	})
+	}, QueryOpts{})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("post-rebuild query: %v, %d results", err, len(got))
 	}
@@ -297,7 +298,7 @@ func TestInterleavedInsertDelete(t *testing.T) {
 	scan := NewScan(objs, 9, 0, true, 1)
 	for q := 0; q < 30; q++ {
 		query := Query{Rect: randomQueryRect(rng, 600), Prob: 0.05 + rng.Float64()*0.9}
-		got, _, err := tree.RangeQuery(query)
+		got, _, err := tree.RangeQuery(context.Background(), query, QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,11 +354,11 @@ func TestUTreeFewerNodeAccesses(t *testing.T) {
 	var utIO, upIO int
 	for q := 0; q < 40; q++ {
 		query := Query{Rect: randomQueryRect(rng, 3000), Prob: 0.6}
-		_, s1, err := ut.RangeQuery(query)
+		_, s1, err := ut.RangeQuery(context.Background(), query, QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, s2, err := up.RangeQuery(query)
+		_, s2, err := up.RangeQuery(context.Background(), query, QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,14 +381,14 @@ func TestQueryValidation(t *testing.T) {
 		{Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), Prob: 1.1}, // pq > 1
 	}
 	for i, q := range cases {
-		if _, _, err := tree.RangeQuery(q); err == nil {
+		if _, _, err := tree.RangeQuery(context.Background(), q, QueryOpts{}); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
 	// Invalid rectangle (NaN) must be rejected too.
 	bad := Query{Rect: geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{1, 1}}, Prob: 0.5}
 	bad.Rect.Lo[0] = 2 // inverted
-	if _, _, err := tree.RangeQuery(bad); err == nil {
+	if _, _, err := tree.RangeQuery(context.Background(), bad, QueryOpts{}); err == nil {
 		t.Error("inverted rect accepted")
 	}
 }
@@ -397,10 +398,10 @@ func TestEmptyTreeQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := tree.RangeQuery(Query{
+	got, stats, err := tree.RangeQuery(context.Background(), Query{
 		Rect: geom.NewRect(geom.Point{0, 0, 0}, geom.Point{1, 1, 1}),
 		Prob: 0.5,
-	})
+	}, QueryOpts{})
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty tree query: %v, %d results", err, len(got))
 	}
@@ -457,7 +458,7 @@ func Test3DTree(t *testing.T) {
 			geom.Point{c[0] - s, c[1] - s, c[2] - s},
 			geom.Point{c[0] + s, c[1] + s, c[2] + s})
 		query := Query{Rect: rq, Prob: 0.05 + rng.Float64()*0.9}
-		got, _, err := tree.RangeQuery(query)
+		got, _, err := tree.RangeQuery(context.Background(), query, QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -502,7 +503,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	scan := NewScan(objs, 9, 0, true, 1)
 	for q := 0; q < 40; q++ {
 		query := Query{Rect: randomQueryRect(rng, 600), Prob: 0.05 + rng.Float64()*0.9}
-		got, _, err := re.RangeQuery(query)
+		got, _, err := re.RangeQuery(context.Background(), query, QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -550,17 +551,17 @@ func TestFaultInjectionSurfacesErrors(t *testing.T) {
 		t.Fatalf("insert under fault: %v", err)
 	}
 	fs.Arm(0)
-	if _, _, err := tree.RangeQuery(Query{
+	if _, _, err := tree.RangeQuery(context.Background(), Query{
 		Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{300, 300}), Prob: 0.5,
-	}); !errors.Is(err, pagefile.ErrInjected) {
+	}, QueryOpts{}); !errors.Is(err, pagefile.ErrInjected) {
 		t.Fatalf("query under fault: %v", err)
 	}
 	// Heal and confirm reads still work (tree structure was not corrupted
 	// by the failed insert attempt before any page mutation).
 	fs.Arm(-1)
-	if _, _, err := tree.RangeQuery(Query{
+	if _, _, err := tree.RangeQuery(context.Background(), Query{
 		Rect: geom.NewRect(geom.Point{0, 0}, geom.Point{300, 300}), Prob: 0.5,
-	}); err != nil {
+	}, QueryOpts{}); err != nil {
 		t.Fatalf("query after heal: %v", err)
 	}
 }
@@ -642,7 +643,7 @@ func TestHistogramObjectsEndToEnd(t *testing.T) {
 	scan := NewScan(objs, 9, 0, true, 1)
 	for q := 0; q < 50; q++ {
 		query := Query{Rect: randomQueryRect(rng, 400), Prob: 0.05 + rng.Float64()*0.9}
-		got, _, err := tree.RangeQuery(query)
+		got, _, err := tree.RangeQuery(context.Background(), query, QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

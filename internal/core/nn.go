@@ -103,17 +103,14 @@ type nnHeap []nnItem
 
 func (h nnHeap) Len() int { return len(h) }
 
-// NearestNeighborsRO is the read-only NN entry point, mirroring
-// RangeQueryRO: NN traversal already keeps all its state on the stack
-// (ExpectedDistance seeds a fresh sampler per object), so with the sharded
-// buffer pool and atomic I/O counters it is safe for any number of
-// concurrent readers — provided no writer runs at the same time.
-func (t *Tree) NearestNeighborsRO(q geom.Point, k int) ([]NNResult, NNStats, error) {
-	return t.NearestNeighbors(q, k)
-}
-
 // NearestNeighbors returns the k objects with the smallest expected
-// distance to the query point q, in ascending order.
+// distance to the query point q, in ascending order, searching the working
+// root; Snapshot.NearestNeighbors runs the same traversal against a pinned
+// epoch. The best-first loop checks ctx before every pop, so a cancelled
+// traversal returns ctx.Err() with the (admissible but possibly
+// incomplete) neighbors found so far. QueryOpts.Limit caps k;
+// QueryOpts.PageBudget stops the traversal with ErrBudgetExceeded after
+// exactly that many physical page fetches.
 //
 // With intra-query prefetching armed, the traversal speculatively
 // prefetches the pages behind the most promising frontier heap entries
@@ -121,21 +118,7 @@ func (t *Tree) NearestNeighborsRO(q geom.Point, k int) ([]NNResult, NNStats, err
 // integration run — the best-first pop order, the refinement order, and
 // the per-object sampler seeding are untouched, so results are
 // byte-identical to the serial traversal.
-func (t *Tree) NearestNeighbors(q geom.Point, k int) ([]NNResult, NNStats, error) {
-	//ulint:ignore ctxflow legacy non-cancellable entry point; the root context is the documented contract
-	return t.NearestNeighborsCtx(context.Background(), q, k, QueryOpts{})
-}
-
-// NearestNeighborsCtx is NearestNeighbors with a cancellation context and
-// per-query options. The best-first loop checks ctx before every pop, so a
-// cancelled traversal returns ctx.Err() with the (admissible but possibly
-// incomplete) neighbors found so far. QueryOpts.Limit caps k;
-// QueryOpts.PageBudget stops the traversal with ErrBudgetExceeded after
-// exactly that many physical page fetches. With a zero QueryOpts, results
-// are byte-identical to NearestNeighbors. It runs against the working
-// root; Snapshot.NearestNeighbors runs the same traversal against a
-// pinned epoch.
-func (t *Tree) NearestNeighborsCtx(ctx context.Context, q geom.Point, k int, o QueryOpts) ([]NNResult, NNStats, error) {
+func (t *Tree) NearestNeighbors(ctx context.Context, q geom.Point, k int, o QueryOpts) ([]NNResult, NNStats, error) {
 	// Working-root queries must see this batch's appends (refinement reads
 	// data pages from the store, never the append cache).
 	if err := t.data.Flush(); err != nil {

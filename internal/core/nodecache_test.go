@@ -279,6 +279,8 @@ func TestPooledScratchNoAliasing(t *testing.T) {
 	if err := tree.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	snap := tree.Snapshot()
+	defer snap.Close()
 
 	type work struct {
 		q  Query
@@ -293,10 +295,10 @@ func TestPooledScratchNoAliasing(t *testing.T) {
 	baseRange := make([][]Result, len(items))
 	baseNN := make([][]NNResult, len(items))
 	for i, it := range items {
-		if baseRange[i], _, err = tree.RangeQueryRO(it.q); err != nil {
+		if baseRange[i], _, err = snap.RangeQuery(context.Background(), it.q, QueryOpts{}); err != nil {
 			t.Fatal(err)
 		}
-		if baseNN[i], _, err = tree.NearestNeighborsRO(it.pt, 4); err != nil {
+		if baseNN[i], _, err = snap.NearestNeighbors(context.Background(), it.pt, 4, QueryOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +315,7 @@ func TestPooledScratchNoAliasing(t *testing.T) {
 				// queries against the shared pools.
 				for off := 0; off < len(items); off++ {
 					i := (off + w) % len(items)
-					got, _, err := tree.RangeQueryRO(items[i].q)
+					got, _, err := snap.RangeQuery(context.Background(), items[i].q, QueryOpts{})
 					if err != nil {
 						t.Errorf("worker %d query %d: %v", w, i, err)
 						return
@@ -328,7 +330,7 @@ func TestPooledScratchNoAliasing(t *testing.T) {
 							return
 						}
 					}
-					nn, _, err := tree.NearestNeighborsRO(items[i].pt, 4)
+					nn, _, err := snap.NearestNeighbors(context.Background(), items[i].pt, 4, QueryOpts{})
 					if err != nil {
 						t.Errorf("worker %d NN %d: %v", w, i, err)
 						return

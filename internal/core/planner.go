@@ -279,9 +279,14 @@ func (p *Planner) observe(pred float64, measured int) {
 	p.predWin = append(p.predWin, pred)
 	p.measWin = append(p.measWin, float64(measured))
 	if len(p.predWin) >= plannerWindow && p.model != nil {
+		// Refit a copy and publish it: queries use the model they loaded
+		// without holding mu, so a published model is never mutated.
 		// Calibrate rejects degenerate windows (all-zero predictions);
 		// either way the window slides.
-		_ = p.model.Calibrate(p.predWin, p.measWin)
+		m := *p.model
+		if m.Calibrate(p.predWin, p.measWin) == nil {
+			p.model = &m
+		}
 		p.predWin = p.predWin[:0]
 		p.measWin = p.measWin[:0]
 	}

@@ -174,11 +174,11 @@ func TestAdaptivePlanningEquivalence(t *testing.T) {
 		rq := randomQueryRect(rng, 1500)
 		pq := 0.05 + rng.Float64()*0.9
 		query := Query{Rect: rq, Prob: pq}
-		want, _, err := plain.RangeQueryCtx(ctx, query, QueryOpts{})
+		want, _, err := plain.RangeQuery(ctx, query, QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := adaptive.RangeQueryCtx(ctx, query, QueryOpts{})
+		got, _, err := adaptive.RangeQuery(ctx, query, QueryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,11 +203,11 @@ func TestAdaptivePlanningEquivalence(t *testing.T) {
 	// must still produce identical results.
 	rq := randomQueryRect(rng, 1500)
 	query := Query{Rect: rq, Prob: 0.4}
-	want, _, err := adaptive.RangeQueryCtx(ctx, query, QueryOpts{})
+	want, _, err := adaptive.RangeQuery(ctx, query, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := adaptive.RangeQueryCtx(ctx, query, QueryOpts{PrefetchSet: true, Prefetch: 0})
+	got, _, err := adaptive.RangeQuery(ctx, query, QueryOpts{PrefetchSet: true, Prefetch: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +283,11 @@ func TestProbFilterEquivalence(t *testing.T) {
 				pq = 0.2 + rng.Float64()*0.6
 			}
 			query := Query{Rect: rq, Prob: pq}
-			want, _, err := tree.RangeQueryCtx(ctx, query, QueryOpts{})
+			want, _, err := tree.RangeQuery(ctx, query, QueryOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, stats, err := tree.RangeQueryCtx(ctx, query, QueryOpts{ProbFilterSet: true, ProbFilter: true})
+			got, stats, err := tree.RangeQuery(ctx, query, QueryOpts{ProbFilterSet: true, ProbFilter: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -112,25 +112,20 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.ShardsPruned += o.ShardsPruned
 }
 
-// RangeQuery executes a prob-range query (Section 5.2): Observation 4
-// pruning during the descent, Observation 3 (U-tree) or Observation 2
-// (U-PCR) filtering at leaves, then refinement of surviving candidates with
-// their appearance probabilities, fetching each distinct data page once.
+// RangeQuery executes a prob-range query (Section 5.2) against the working
+// root: Observation 4 pruning during the descent, Observation 3 (U-tree) or
+// Observation 2 (U-PCR) filtering at leaves, then refinement of surviving
+// candidates with their appearance probabilities, fetching each distinct
+// data page once. The traversal checks ctx before every page fetch and
+// every refinement integration, so a cancelled query returns ctx.Err()
+// within roughly one page latency of the cancellation (plus draining the
+// at most prefetch-bound in-flight fetches).
 //
-// Like the rest of Tree, it is not safe for concurrent use (it advances the
-// shared refinement sampler); concurrent readers go through RangeQueryRO.
-func (t *Tree) RangeQuery(q Query) ([]Result, QueryStats, error) {
-	//ulint:ignore ctxflow legacy non-cancellable entry point; the root context is the documented contract
-	return t.RangeQueryCtx(context.Background(), q, QueryOpts{})
-}
-
-// RangeQueryCtx is RangeQuery with a cancellation context and per-query
-// options. The traversal checks ctx before every page fetch and every
-// refinement integration, so a cancelled query returns ctx.Err() within
-// roughly one page latency of the cancellation (plus draining the at most
-// prefetch-bound in-flight fetches). With a zero QueryOpts, results and
-// logical stats are byte-identical to RangeQuery.
-func (t *Tree) RangeQueryCtx(ctx context.Context, q Query, o QueryOpts) ([]Result, QueryStats, error) {
+// Like the rest of Tree's working-root surface it is not safe for
+// concurrent use: it advances the shared refinement sampler, and the paper
+// experiments rely on that sampler's single sequence. Concurrent readers
+// pin a Snapshot instead.
+func (t *Tree) RangeQuery(ctx context.Context, q Query, o QueryOpts) ([]Result, QueryStats, error) {
 	// Working-root queries must see this batch's appends: refinement reads
 	// data pages from the store, never the append cache.
 	if err := t.data.Flush(); err != nil {
@@ -145,42 +140,9 @@ func (t *Tree) RangeQueryCtx(ctx context.Context, q Query, o QueryOpts) ([]Resul
 	return res, stats, err
 }
 
-// RangeQueryRO is the read-only query entry point: it answers q against
-// the working root without touching any insert/delete state, so any
-// number of goroutines may call it concurrently — provided no writer
-// (Insert/Delete/BulkLoad) runs at the same time. To read concurrently
-// WITH a writer, pin a Snapshot and query that instead: its epoch's pages
-// are immune to the writer's copy-on-write churn. The refinement sampler
-// is seeded from (tree seed, query), so Monte Carlo results are
-// reproducible per query regardless of scheduling or batch order (like
-// ExpectedDistance's per-object seeding).
-func (t *Tree) RangeQueryRO(q Query) ([]Result, QueryStats, error) {
-	//ulint:ignore ctxflow legacy non-cancellable entry point; the root context is the documented contract
-	return t.RangeQueryROCtx(context.Background(), q, QueryOpts{})
-}
-
-// RangeQueryROCtx is RangeQueryRO with a cancellation context and
-// per-query options (see RangeQueryCtx for the cancellation contract).
-func (t *Tree) RangeQueryROCtx(ctx context.Context, q Query, o QueryOpts) ([]Result, QueryStats, error) {
-	// See RangeQueryCtx: append-cache visibility. Flushing is a no-op for
-	// the RO contract's "no concurrent writer" case with nothing buffered.
-	if err := t.data.Flush(); err != nil {
-		return nil, QueryStats{}, err
-	}
-	p := t.resolvePlan(ctx, o)
-	pred, armed := t.planQuery(q, o, &p)
-	rng := getSeededRand(t.roSeed(q))
-	defer putRand(rng)
-	res, stats, err := t.rangeQuery(t.rootPage, q, rng, &p)
-	if armed && err == nil {
-		t.planner.observe(pred, stats.NodeAccesses)
-	}
-	return res, stats, err
-}
-
-// roSeed derives a deterministic sampler seed from the tree seed and the
+// querySeed derives a deterministic sampler seed from the tree seed and the
 // query geometry (FNV-1a over the coordinate bits).
-func (t *Tree) roSeed(q Query) int64 {
+func (t *Tree) querySeed(q Query) int64 {
 	h := (uint64(t.seed) ^ 14695981039346656037) * 1099511628211
 	mix := func(f float64) {
 		h ^= math.Float64bits(f)

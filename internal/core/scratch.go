@@ -118,7 +118,7 @@ func nnPop(h *nnHeap) nnItem {
 }
 
 // Pooled deterministic samplers: rand.New allocates the Rand and its
-// ~5 KB source on every call — one per RO/snapshot range query and one per
+// ~5 KB source on every call — one per snapshot range query and one per
 // NN expected-distance evaluation. Re-seeding a pooled *rand.Rand with
 // (*Rand).Seed reproduces the exact sequence rand.New(rand.NewSource(seed))
 // would produce, so pooling changes nothing about the draws.

@@ -122,12 +122,6 @@ func (t *Tree) CommittedLen() int {
 	return st.size
 }
 
-// GCStats reports the epoch collector's state: committed epoch, live
-// snapshot pins, and pages awaiting reclamation.
-func (t *Tree) GCStats() (epoch uint64, pins int, pendingPages int) {
-	return t.vs.GCStats()
-}
-
 // GCInfo reports the epoch collector's full health: pending epochs, pages
 // and tombstones, lifetime reclaim counters, and reclaimer state.
 func (t *Tree) GCInfo() pagefile.GCInfo { return t.vs.GCInfo() }
@@ -186,14 +180,13 @@ func (s *Snapshot) RootMBR() geom.Rect { return s.st.rootMBR }
 
 // RangeQuery answers a probabilistic range query against the pinned
 // epoch, lock-free. The refinement sampler is seeded from (tree seed,
-// query) exactly like RangeQueryRO, so results are reproducible per query
-// whatever the scheduling.
+// query), so results are reproducible per query whatever the scheduling.
 func (s *Snapshot) RangeQuery(ctx context.Context, q Query, o QueryOpts) ([]Result, QueryStats, error) {
 	p := s.t.resolvePlan(ctx, o)
 	pred, armed := s.t.planQuery(q, o, &p)
 	// The sampler is pooled and re-seeded per query — (*Rand).Seed
 	// reproduces exactly the sequence a fresh rand.New would draw.
-	rng := getSeededRand(s.t.roSeed(q))
+	rng := getSeededRand(s.t.querySeed(q))
 	defer putRand(rng)
 	res, stats, err := s.t.rangeQuery(s.st.rootPage, q, rng, &p)
 	if armed && err == nil {

@@ -112,7 +112,9 @@ const (
 )
 
 // Tree is a paged uncertain-data index: the U-tree of the paper or its
-// U-PCR variant. Not safe for concurrent use.
+// U-PCR variant. The mutators and the working-root queries (RangeQuery,
+// NearestNeighbors) are single-goroutine; any number of goroutines may
+// query a pinned Snapshot beside the one writer.
 type Tree struct {
 	kind Kind
 	dim  int

@@ -14,6 +14,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -106,7 +107,7 @@ func runWorkload(t *core.Tree, w workload.Workload) (WorkloadMetrics, error) {
 	start := time.Now()
 	var validated, results int
 	for _, q := range w.Queries {
-		_, stats, err := t.RangeQuery(q)
+		_, stats, err := t.RangeQuery(context.Background(), q, core.QueryOpts{})
 		if err != nil {
 			return m, err
 		}

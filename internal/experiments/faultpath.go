@@ -143,12 +143,12 @@ func printFaultRow(out io.Writer, r FaultPathRow) {
 		r.Health.QuarantinedPages, r.Health.ScrubbedPages)
 }
 
-// buildFaultIndex constructs the phase's file-backed ConcurrentTree with
+// buildFaultIndex constructs the phase's file-backed Tree with
 // a ChaosStore spliced under the latency/retry layers, bulk-loads it at
 // zero latency, and arms the measurement latency. Rules are installed by
 // the caller AFTER the build, so construction itself runs clean.
 func buildFaultIndex(path string, cfg Config, objects map[int64]uncertain.PDF,
-	scrub bool) (*uncertain.ConcurrentTree, *pagefile.ChaosStore, error) {
+	scrub bool) (*uncertain.Tree, *pagefile.ChaosStore, error) {
 	var chaos *pagefile.ChaosStore
 	ucfg := uncertain.Config{
 		Dimensions:      dataset.LB.Dim(),
@@ -175,7 +175,7 @@ func buildFaultIndex(path string, cfg Config, objects map[int64]uncertain.PDF,
 		ucfg.ScrubInterval = 2 * time.Millisecond
 		ucfg.ScrubPageBudget = 64
 	}
-	idx, err := uncertain.NewConcurrentTree(ucfg)
+	idx, err := uncertain.NewTree(ucfg)
 	if err != nil {
 		return nil, nil, err
 	}

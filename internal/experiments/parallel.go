@@ -119,11 +119,11 @@ func ParallelBatch(cfg Config, workers []int) ([]ParallelRow, error) {
 	return rows, nil
 }
 
-// BuildParallelFixture loads the LB dataset into a ConcurrentTree and builds
+// BuildParallelFixture loads the LB dataset into a Tree and builds
 // the Fig. 9 mid-point workload as engine queries.
-func BuildParallelFixture(cfg Config) (*uncertain.ConcurrentTree, []uncertain.RangeQuery, error) {
+func BuildParallelFixture(cfg Config) (*uncertain.Tree, []uncertain.RangeQuery, error) {
 	objs := dataset.Generate(dataset.Config{Name: dataset.LB, Scale: cfg.Scale, Seed: cfg.Seed})
-	ct, err := uncertain.NewConcurrentTree(uncertain.Config{
+	ct, err := uncertain.NewTree(uncertain.Config{
 		Dimensions:        dataset.LB.Dim(),
 		MonteCarloSamples: cfg.MCSamples,
 		Seed:              cfg.Seed,

@@ -12,7 +12,7 @@ import (
 // pipelining — the third parallelism layer after the batch engine (PR 1,
 // across queries) and shards (PR 2, across partitions). The Fig. 9
 // workload (LB dataset, qs = 1500, pq = 0.6) is queried *serially* against
-// one ConcurrentTree over simulated page latency, sweeping the prefetch
+// one Tree over simulated page latency, sweeping the prefetch
 // fan-out: at 0 every page read is a sequential stall (the paper's serial
 // cost model); at w a single query may overlap up to w of the independent
 // fetches its own traversal already knows it needs (a level's surviving
@@ -42,7 +42,7 @@ type PipelineRow struct {
 	Stats uncertain.Stats
 }
 
-// PipelineSweep builds the LB dataset into a ConcurrentTree (the same
+// PipelineSweep builds the LB dataset into a Tree (the same
 // fixture shape as the sharded experiment's single-tree baseline: 64
 // buffer pages, exact refinement) and measures serial query throughput at
 // each prefetch fan-out, alone and under the writer stream. The index is

@@ -15,7 +15,7 @@ import (
 // This experiment is not in the paper: it measures the sharded index under
 // a mixed read/write load — the Fig. 9 workload (LB dataset, qs = 1500,
 // pq = 0.6) queried serially while a steady writer stream inserts and
-// deletes objects, over simulated page latency. A single ConcurrentTree
+// deletes objects, over simulated page latency. A single Tree
 // pays the writer twice: every query's page stalls are serial, and the
 // writer's exclusive lock (page stalls included) blocks every reader. The
 // ShardedTree pays neither: one query overlaps its stalls across K shards,
@@ -29,7 +29,7 @@ import (
 
 // ShardedRow is one shard-count sample of the mixed read/write sweep.
 type ShardedRow struct {
-	// Shards is the shard count; 1 is the single-ConcurrentTree baseline.
+	// Shards is the shard count; 1 is the single-Tree baseline.
 	Shards int
 	// QPS is serial query throughput while the writer stream runs.
 	QPS float64
@@ -52,7 +52,7 @@ const mixedWriterPause = 2 * time.Millisecond
 // mixedPasses is how many times the measurement loop runs the workload.
 const mixedPasses = 2
 
-// ShardedMixed builds the LB dataset into a single ConcurrentTree and into
+// ShardedMixed builds the LB dataset into a single Tree and into
 // ShardedTrees at each shard count, verifies the sharded indexes return
 // byte-for-byte the baseline's results (sorted by ID; exact refinement),
 // then measures serial query throughput under the writer stream at each
@@ -134,7 +134,7 @@ func mixedWorkload(cfg Config) (map[int64]uncertain.PDF, []uncertain.RangeQuery)
 }
 
 // BuildShardedFixture loads the LB dataset into a ShardedTree (a single
-// ConcurrentTree at shards = 1) with the sweep's divided page-cache
+// Tree at shards = 1) with the sweep's divided page-cache
 // budget, and returns the Fig. 9 workload queries — the root benchmarks'
 // counterpart of BuildParallelFixture. The caller arms the measurement
 // latency via ArmLatency.
@@ -168,7 +168,7 @@ func ArmLatency(idx uncertain.Index, d time.Duration) bool {
 	return ok
 }
 
-// buildMixedIndex constructs the index under test: a ConcurrentTree at
+// buildMixedIndex constructs the index under test: a Tree at
 // k = 1, a ShardedTree otherwise, bulk-loaded with the dataset; prefetch
 // arms the index-wide intra-query fan-out (per shard when k > 1). The
 // page-cache budget is divided across shards so every configuration caches
@@ -184,7 +184,7 @@ func buildMixedIndex(k, prefetch int, cfg Config, objects map[int64]uncertain.PD
 	var idx uncertain.Index
 	var err error
 	if k == 1 {
-		idx, err = uncertain.NewConcurrentTree(ucfg)
+		idx, err = uncertain.NewTree(ucfg)
 	} else {
 		idx, err = uncertain.NewShardedTree(k, ucfg)
 	}

@@ -68,7 +68,7 @@ const writePathReaderN = 4
 // background reclaimer to drain all pending garbage.
 const writePathDrainWindow = 5 * time.Second
 
-// WritePath sweeps the group-commit size over a file-backed ConcurrentTree
+// WritePath sweeps the group-commit size over a file-backed Tree
 // loaded with the LB dataset: solo writer throughput, writer + snapshot
 // readers, then the reclaimer idle-drain check. groupSizes defaults to
 // {1, 8, 32}; a leading 1 is enforced since Speedup is relative to it.
@@ -115,7 +115,7 @@ func WritePath(cfg Config, groupSizes []int) ([]WritePathRow, error) {
 func runWritePathRow(g int, dir string, cfg Config,
 	objects map[int64]uncertain.PDF, queries []uncertain.RangeQuery) (WritePathRow, error) {
 	row := WritePathRow{GroupSize: g}
-	idx, err := uncertain.NewConcurrentTree(uncertain.Config{
+	idx, err := uncertain.NewTree(uncertain.Config{
 		Dimensions:      dataset.LB.Dim(),
 		ExactRefinement: true,
 		Seed:            cfg.Seed,

@@ -52,6 +52,11 @@ type VersionedStore struct {
 	inPlace map[PageID]bool
 	batch   garbage   // open (uncommitted) batch
 	pending []garbage // committed garbage awaiting pin drain
+	// draining counts pages a drain has taken out of pending and not yet
+	// finished freeing (settled once per garbage batch); GCInfo reports
+	// them as pending, so "no pending pages" means the pages are gone from
+	// the inner store.
+	draining int
 
 	// tombstoner applies a batch of record tombstones to one data page in a
 	// single read-modify-write (DataFile.DeleteBatch); registered once at
@@ -462,6 +467,9 @@ func (v *VersionedStore) reclaimSome(budget int) int {
 	defer v.reclaimMu.Unlock()
 	v.mu.Lock()
 	drain := v.collectDrainableLocked()
+	for i := range drain {
+		v.draining += len(drain[i].pages)
+	}
 	tomb := v.tombstoner
 	v.mu.Unlock()
 	var first error
@@ -483,6 +491,7 @@ func (v *VersionedStore) reclaimSome(budget int) int {
 			done++
 		}
 		g.tombstones = nil
+		freeing := len(g.pages)
 		for len(g.pages) > 0 {
 			if budget > 0 && done >= budget {
 				v.requeueFront(drain[i:], first)
@@ -500,6 +509,11 @@ func (v *VersionedStore) reclaimSome(budget int) int {
 			v.reclaimedPages.Add(1)
 			done++
 		}
+		if freeing > 0 {
+			v.mu.Lock()
+			v.draining -= freeing
+			v.mu.Unlock()
+		}
 	}
 	v.stashReclaimErr(first)
 	return done
@@ -515,6 +529,9 @@ func (v *VersionedStore) requeueFront(rest []garbage, err error) {
 		}
 	}
 	v.mu.Lock()
+	// reclaimMu serializes drains, so every page this drain still counted
+	// is now either freed or back in pending.
+	v.draining = 0
 	if len(kept) > 0 {
 		v.pending = append(kept, v.pending...)
 	}
@@ -533,22 +550,6 @@ func (v *VersionedStore) stashReclaimErr(err error) {
 		v.reclaimErr = err
 	}
 	v.mu.Unlock()
-}
-
-// GCStats reports the collector's state: the committed epoch, live pins,
-// and pages awaiting reclamation (uncommitted batch included) — the
-// page-leak assertion surface for tests.
-func (v *VersionedStore) GCStats() (epoch uint64, pins int, pendingPages int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, n := range v.pins {
-		pins += n
-	}
-	for _, g := range v.pending {
-		pendingPages += len(g.pages)
-	}
-	pendingPages += len(v.batch.pages)
-	return v.epoch, pins, pendingPages
 }
 
 // GCInfo is the collector's full health report: epoch and pin state,
@@ -580,8 +581,8 @@ func (g *GCInfo) Add(o GCInfo) {
 	g.ReclaimerRunning = g.ReclaimerRunning || o.ReclaimerRunning
 }
 
-// GCInfo reports the collector's full state; see GCStats for the compact
-// 3-tuple form.
+// GCInfo reports the collector's full state — the page-leak assertion
+// surface for tests.
 func (v *VersionedStore) GCInfo() GCInfo {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -599,7 +600,7 @@ func (v *VersionedStore) GCInfo() GCInfo {
 		info.PendingPages += len(v.pending[i].pages)
 		info.PendingTombstones += v.pending[i].tombstoneCount()
 	}
-	info.PendingPages += len(v.batch.pages)
+	info.PendingPages += len(v.batch.pages) + v.draining
 	info.PendingTombstones += v.batch.tombstoneCount()
 	return info
 }

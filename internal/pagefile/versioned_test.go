@@ -75,8 +75,8 @@ func TestVersionedDeferredFreeAndPins(t *testing.T) {
 	if tombstoned {
 		t.Fatal("deferred tombstone ran while an older snapshot was pinned")
 	}
-	if _, pins, pending := vs.GCStats(); pins != 1 || pending != 1 {
-		t.Fatalf("GCStats pins=%d pending=%d, want 1/1", pins, pending)
+	if gc := vs.GCInfo(); gc.Pins != 1 || gc.PendingPages != 1 {
+		t.Fatalf("GCInfo pins=%d pending=%d, want 1/1", gc.Pins, gc.PendingPages)
 	}
 
 	// Release + writer-side reclaim frees the page and runs the tombstone.
@@ -91,8 +91,8 @@ func TestVersionedDeferredFreeAndPins(t *testing.T) {
 	if err := vs.Read(old, buf); err == nil {
 		t.Fatal("read of reclaimed page succeeded")
 	}
-	if _, pins, pending := vs.GCStats(); pins != 0 || pending != 0 {
-		t.Fatalf("GCStats after reclaim pins=%d pending=%d, want 0/0", pins, pending)
+	if gc := vs.GCInfo(); gc.Pins != 0 || gc.PendingPages != 0 {
+		t.Fatalf("GCInfo after reclaim pins=%d pending=%d, want 0/0", gc.Pins, gc.PendingPages)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestVersionedFreshFreeIsImmediate(t *testing.T) {
 	if n := inner.NumPages(); n != 0 {
 		t.Fatalf("fresh free left %d live pages", n)
 	}
-	if _, _, pending := vs.GCStats(); pending != 0 {
+	if pending := vs.GCInfo().PendingPages; pending != 0 {
 		t.Fatalf("fresh free deferred %d pages", pending)
 	}
 }
@@ -143,7 +143,7 @@ func TestVersionedRollback(t *testing.T) {
 	if err := vs.Read(shadow, buf); err == nil {
 		t.Fatal("shadow page survived rollback")
 	}
-	if _, _, pending := vs.GCStats(); pending != 0 {
+	if pending := vs.GCInfo().PendingPages; pending != 0 {
 		t.Fatalf("rollback left %d pending pages", pending)
 	}
 	if err := vs.Commit(nil); err != nil {

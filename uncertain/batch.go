@@ -3,6 +3,7 @@ package uncertain
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -79,7 +80,7 @@ func (t *Tree) noteOp() error {
 
 // maybeCommit applies the group-commit policy: never inside an explicit
 // WriteBatch; immediately with grouping disabled; otherwise on the size
-// threshold or the age deadline.
+// threshold. The age deadline belongs to the group timer alone.
 func (t *Tree) maybeCommit() error {
 	if t.inBatch {
 		return nil
@@ -88,9 +89,6 @@ func (t *Tree) maybeCommit() error {
 		return t.commitGroupNow()
 	}
 	if t.gcOps > 1 && t.groupOps >= t.gcOps {
-		return t.commitGroupNow()
-	}
-	if t.gcInterval > 0 && time.Since(t.groupStart) >= t.gcInterval {
 		return t.commitGroupNow()
 	}
 	return nil
@@ -115,19 +113,62 @@ func (t *Tree) commitPending() error {
 	return t.commitGroupNow()
 }
 
-// pendingGroup reports the open group's size and age (zero age when
-// empty) — the probe ConcurrentTree's deadline timer uses.
-func (t *Tree) pendingGroup() (ops int, age time.Duration) {
-	if t.groupOps == 0 {
-		return 0, 0
+// startGroupTimer arms the group-commit deadline timer, which seals an
+// open group once it is older than the interval (so within about 1.25
+// intervals); no-op without an interval.
+func (t *Tree) startGroupTimer() {
+	if t.gcInterval <= 0 {
+		return
 	}
-	return t.groupOps, time.Since(t.groupStart)
+	period := t.gcInterval / 4
+	if period < time.Millisecond {
+		period = time.Millisecond
+	}
+	t.tickStop = make(chan struct{})
+	t.tickDone = make(chan struct{})
+	go func() {
+		defer close(t.tickDone)
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case <-t.tickStop:
+				return
+			case <-tick.C:
+				t.mu.Lock()
+				if t.groupOps > 0 && time.Since(t.groupStart) >= t.gcInterval {
+					if err := t.commitPending(); err != nil && t.tickErr == nil {
+						t.tickErr = err
+					}
+				}
+				t.mu.Unlock()
+			}
+		}
+	}()
 }
 
-// BatchWriter is the mutation surface inside Tree.WriteBatch /
-// ConcurrentTree.WriteBatch. Errors are sticky: after a failed operation
-// (other than a not-found delete) the batch is already rolled back and
-// every later call returns the same error.
+// stopGroupTimer stops the deadline timer; idempotent.
+func (t *Tree) stopGroupTimer() {
+	if t.tickStop == nil {
+		return
+	}
+	close(t.tickStop)
+	<-t.tickDone
+	t.tickStop, t.tickDone = nil, nil
+}
+
+// takeTickErr returns and clears a stashed timer-side commit failure.
+// Caller holds t.mu.
+func (t *Tree) takeTickErr() error {
+	err := t.tickErr
+	t.tickErr = nil
+	return err
+}
+
+// BatchWriter is the mutation surface inside Tree.WriteBatch. Errors are
+// sticky: after a failed operation (other than a not-found delete) the
+// batch is already rolled back and every later call returns the same
+// error.
 type BatchWriter interface {
 	// Insert adds an object to the batch.
 	Insert(id int64, pdf PDF) error
@@ -138,8 +179,54 @@ type BatchWriter interface {
 	DeleteWithRegion(id int64, regionMBR Rect) error
 }
 
+// errInsideBatch rejects a Close or Discard called from inside the tree's
+// own WriteBatch fn: both must stop the group timer, which may be waiting
+// for the writer mutex the batch holds.
+var errInsideBatch = errors.New("uncertain: Close or Discard inside WriteBatch")
+
+// lockWriter takes the writer mutex and reports whether it did. It does
+// not when the calling goroutine is inside this tree's own WriteBatch fn,
+// which already holds the mutex: the call then runs as part of the batch
+// instead of deadlocking. Only a contended lock pays for the check.
+func (t *Tree) lockWriter() bool {
+	if t.mu.TryLock() {
+		return true
+	}
+	if t.inOwnBatch() {
+		return false
+	}
+	t.mu.Lock()
+	return true
+}
+
+// inOwnBatch reports whether the calling goroutine is running this tree's
+// WriteBatch fn.
+func (t *Tree) inOwnBatch() bool {
+	g := t.batchG.Load()
+	return g != 0 && g == goid()
+}
+
+// goid returns the calling goroutine's ID, parsed from the "goroutine N "
+// header runtime.Stack writes. Go offers no other handle on the current
+// goroutine; WriteBatch records it so a call from its fn can be told from
+// a concurrent writer.
+func goid() uint64 {
+	var buf [32]byte
+	b := buf[:runtime.Stack(buf[:], false)]
+	b = b[len("goroutine "):]
+	var id uint64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + uint64(c-'0')
+	}
+	return id
+}
+
 // treeBatch implements BatchWriter over a Tree whose inBatch flag
-// suppresses the auto-commit policy.
+// suppresses the auto-commit policy. WriteBatch holds the writer mutex for
+// the whole batch, so the ops call the locked internals.
 type treeBatch struct {
 	t   *Tree
 	err error
@@ -159,32 +246,37 @@ func (b *treeBatch) run(op func() error) error {
 }
 
 func (b *treeBatch) Insert(id int64, pdf PDF) error {
-	return b.run(func() error { return b.t.Insert(id, pdf) })
+	return b.run(func() error { return b.t.insertLocked(id, pdf) })
 }
 
 func (b *treeBatch) Delete(id int64) error {
-	return b.run(func() error { return b.t.Delete(id) })
+	return b.run(func() error { return b.t.deleteLocked(id) })
 }
 
 func (b *treeBatch) DeleteWithRegion(id int64, regionMBR Rect) error {
-	return b.run(func() error { return b.t.DeleteWithRegion(id, regionMBR) })
+	return b.run(func() error { return b.t.deleteWithRegionLocked(id, regionMBR) })
 }
 
 // WriteBatch runs fn against a batch writer and commits everything it did
-// as ONE epoch: readers (snapshots, CommittedLen) observe either none of
-// the batch or all of it, and for file-backed trees the whole batch
-// becomes durable atomically — a crash recovers to this batch boundary or
-// the previous one, never between. If fn returns an error or any mutation
+// as ONE epoch: concurrent readers observe either none of the batch or all
+// of it, never a prefix, and for file-backed trees the whole batch becomes
+// durable atomically — a crash recovers to this batch boundary or the
+// previous one, never between. If fn returns an error or any mutation
 // fails, the whole batch rolls back and the tree is unchanged. Any open
-// auto-commit group is sealed (as its own epoch) first. Batches do not
-// nest.
+// auto-commit group is sealed (as its own epoch) first. The writer mutex
+// is held while fn runs, so other writers wait for the batch. Batches do
+// not nest: WriteBatch, Close and Discard called from fn return an error.
+// The tree's other mutators called from fn run inside the batch.
 func (t *Tree) WriteBatch(fn func(BatchWriter) error) error {
-	if t.inBatch {
+	if !t.lockWriter() {
 		return fmt.Errorf("uncertain: nested WriteBatch")
 	}
+	defer t.mu.Unlock()
 	if err := t.commitPending(); err != nil {
 		return err
 	}
+	t.batchG.Store(goid())
+	defer t.batchG.Store(0)
 	t.inBatch = true
 	b := &treeBatch{t: t}
 	err := fn(b)

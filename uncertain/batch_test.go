@@ -53,32 +53,50 @@ func TestGroupCommitSizeThreshold(t *testing.T) {
 }
 
 func TestGroupCommitAgeDeadline(t *testing.T) {
-	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true, GroupCommitInterval: 30 * time.Millisecond})
+	const interval = 250 * time.Millisecond
+	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true, GroupCommitInterval: interval})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tree.Close()
 	rng := rand.New(rand.NewSource(2))
+	epoch0 := tree.Epoch()
 
-	if err := tree.Insert(1, batchPDF(rng)); err != nil {
-		t.Fatal(err)
+	// waitSealed polls until the timer publishes the open group and checks
+	// that it waited for the group to age past the interval.
+	waitSealed := func(opened time.Time, want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for tree.inner.CommittedLen() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("aged group never sealed: CommittedLen=%d, want %d", tree.inner.CommittedLen(), want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if age := time.Since(opened); age < interval {
+			t.Fatalf("group sealed after %v, before the %v deadline", age, interval)
+		}
 	}
-	if got := tree.inner.CommittedLen(); got != 0 {
-		t.Fatalf("young group already committed: CommittedLen=%d", got)
-	}
-	time.Sleep(50 * time.Millisecond)
-	// A bare Tree checks the deadline at the next mutation: this op finds
-	// the group over age and seals it (itself included).
-	if err := tree.Insert(2, batchPDF(rng)); err != nil {
-		t.Fatal(err)
-	}
-	if got := tree.inner.CommittedLen(); got != 2 {
-		t.Fatalf("aged group not committed at next op: CommittedLen=%d, want 2", got)
+
+	// The timer owns the deadline: each group stays open while young and
+	// is sealed alone, as one epoch, once it ages past the interval.
+	for i := int64(1); i <= 2; i++ {
+		opened := time.Now()
+		if err := tree.Insert(i, batchPDF(rng)); err != nil {
+			t.Fatal(err)
+		}
+		if got := tree.inner.CommittedLen(); got != int(i-1) {
+			t.Fatalf("young group already committed: CommittedLen=%d, want %d", got, i-1)
+		}
+		waitSealed(opened, int(i))
+		if got := tree.Epoch() - epoch0; got != uint64(i) {
+			t.Fatalf("after group %d: %d epochs committed, want %d", i, got, i)
+		}
 	}
 }
 
 func TestConcurrentGroupTimerSealsIdleTail(t *testing.T) {
-	c, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true,
+	c, err := NewTree(Config{Dimensions: 2, ExactRefinement: true,
 		GroupCommitOps: 100, GroupCommitInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +120,7 @@ func TestConcurrentGroupTimerSealsIdleTail(t *testing.T) {
 }
 
 func TestWriteBatchSnapshotIsolation(t *testing.T) {
-	c, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	c, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +228,72 @@ func TestWriteBatchRollback(t *testing.T) {
 	}
 }
 
+// TestWriteBatchCallsFromFn checks that fn's own calls into the tree never
+// wait for the writer mutex its batch holds: a direct mutation joins the
+// batch, while Close and a nested WriteBatch are refused. A writer on
+// another goroutine waits for the batch instead.
+func TestWriteBatchCallsFromFn(t *testing.T) {
+	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	epoch0 := tree.Epoch()
+
+	other := make(chan error, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- tree.WriteBatch(func(w BatchWriter) error {
+			if err := w.Insert(1, batchPDF(rng)); err != nil {
+				return err
+			}
+			if err := tree.Insert(2, batchPDF(rng)); err != nil {
+				return err
+			}
+			if h := tree.Height(); h < 1 {
+				return fmt.Errorf("Height inside batch = %d", h)
+			}
+			if err := tree.Close(); err == nil {
+				return errors.New("Close inside WriteBatch accepted")
+			}
+			if err := tree.WriteBatch(func(BatchWriter) error { return nil }); err == nil {
+				return errors.New("nested WriteBatch accepted")
+			}
+			go func() { other <- tree.Insert(3, batchPDF(rand.New(rand.NewSource(7)))) }()
+			time.Sleep(20 * time.Millisecond)
+			if n := tree.inner.CommittedLen(); n != 0 {
+				return fmt.Errorf("batch visible before commit: CommittedLen=%d", n)
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("WriteBatch fn deadlocked on its own tree")
+	}
+	if err := <-other; err != nil {
+		t.Fatal(err)
+	}
+	// One epoch for the batch (direct insert included), one for the
+	// writer that waited.
+	if got := tree.Epoch() - epoch0; got != 2 {
+		t.Fatalf("%d epochs committed, want 2", got)
+	}
+	if n := tree.Len(); n != 3 {
+		t.Fatalf("Len=%d, want 3 (2 from the batch, 1 from the waiting writer)", n)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestShardedWriteBatchAndGCInfo(t *testing.T) {
 	s, err := NewShardedTree(4, Config{Dimensions: 2, ExactRefinement: true})
 	if err != nil {
@@ -271,7 +355,7 @@ func TestShardedWriteBatchAndGCInfo(t *testing.T) {
 	}
 }
 
-// TestBackgroundReclaimerPinSafety hammers a file-backed ConcurrentTree
+// TestBackgroundReclaimerPinSafety hammers a file-backed Tree
 // with a grouped writer, snapshot readers validating invariants on every
 // pinned epoch, and the background reclaimer draining on 1 ms ticks with a
 // small page budget. Under -race this doubles as the data race check; the
@@ -289,7 +373,7 @@ func TestBackgroundReclaimerPinSafety(t *testing.T) {
 		ReclaimInterval:   time.Millisecond,
 		ReclaimPageBudget: 8,
 	}
-	c, err := NewConcurrentTree(cfg)
+	c, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,12 +17,12 @@ import (
 // batch engine must propagate cancellation to in-flight queries instead of
 // letting a failed batch run to completion.
 
-// cancelFixture builds a file-backed ConcurrentTree whose physical page
+// cancelFixture builds a file-backed Tree whose physical page
 // accesses cost `latency` each (armed only after the build, which runs at
 // zero latency), with a pool small enough that real queries miss.
-func cancelFixture(t *testing.T, latency time.Duration, prefetch int) (*ConcurrentTree, []RangeQuery) {
+func cancelFixture(t *testing.T, latency time.Duration, prefetch int) (*Tree, []RangeQuery) {
 	t.Helper()
-	ct, err := NewConcurrentTree(Config{
+	ct, err := NewTree(Config{
 		Dimensions:      2,
 		ExactRefinement: true,
 		BufferPages:     8,
@@ -211,7 +211,7 @@ func TestPageBudgetExact(t *testing.T) {
 	// NodeCacheEntries: -1 — the decoded-node cache serves repeat node
 	// reads without any physical fetch, which would break this test's
 	// premise; budget accounting under the cache is covered separately.
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true, BufferPages: 1, NodeCacheEntries: -1})
+	ct, err := NewTree(Config{Dimensions: 2, ExactRefinement: true, BufferPages: 1, NodeCacheEntries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestPageBudgetExact(t *testing.T) {
 // TestPageBudgetNN: the NN traversal honors the budget with the same
 // error identity and partial-answer semantics.
 func TestPageBudgetNN(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, BufferPages: 1, NodeCacheEntries: -1})
+	ct, err := NewTree(Config{Dimensions: 2, BufferPages: 1, NodeCacheEntries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestShardedBudgetPartial(t *testing.T) {
 // semantics, per-query prefetch arming without the index-wide mutator, and
 // per-query refinement control.
 func TestQueryOptions(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, MonteCarloSamples: 400, BufferPages: 16})
+	ct, err := NewTree(Config{Dimensions: 2, MonteCarloSamples: 400, BufferPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +544,7 @@ func TestEnginePerQueryTimeout(t *testing.T) {
 // TestEngineBudgetCounting: budget-exceeded queries keep their partial
 // results, are counted, and do not fail the batch.
 func TestEngineBudgetCounting(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true, BufferPages: 1})
+	ct, err := NewTree(Config{Dimensions: 2, ExactRefinement: true, BufferPages: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestConcurrentTreeParallelMixedOps(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	ct, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestConcurrentTreeParallelMixedOps(t *testing.T) {
 }
 
 func TestConcurrentTreeConfigError(t *testing.T) {
-	if _, err := NewConcurrentTree(Config{}); err == nil {
+	if _, err := NewTree(Config{}); err == nil {
 		t.Fatal("zero dimensions accepted")
 	}
 }
@@ -83,7 +85,7 @@ func TestConcurrentTreeConfigError(t *testing.T) {
 // RLock; run with -race). Reader results must always be internally
 // consistent: every reported probability meets the threshold.
 func TestSearchWhileInsertStress(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	ct, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +171,7 @@ func TestSearchWhileInsertStress(t *testing.T) {
 // parallelization: with exact refinement, SearchBatch must return exactly
 // what serial Search returns for every query.
 func TestSearchBatchMatchesSerial(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	ct, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func sameResults(a, b []Result) bool {
 // TestNNBatchMatchesSerial does the same for the k-NN batch path (NN
 // refinement is deterministic by construction: per-object seeded samplers).
 func TestNNBatchMatchesSerial(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2})
+	ct, err := NewTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +295,7 @@ func TestNNBatchMatchesSerial(t *testing.T) {
 // TestSearchBatchPropagatesError: an invalid query in the batch must surface
 // as an error, not a partial result set.
 func TestSearchBatchPropagatesError(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	ct, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +315,7 @@ func TestSearchBatchPropagatesError(t *testing.T) {
 
 // TestSearchBatchEmpty: a zero-length batch is a no-op, not a hang.
 func TestSearchBatchEmpty(t *testing.T) {
-	ct, err := NewConcurrentTree(Config{Dimensions: 2})
+	ct, err := NewTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,5 +324,88 @@ func TestSearchBatchEmpty(t *testing.T) {
 	out, stats, err := eng.SearchBatch(context.Background(), nil)
 	if err != nil || len(out) != 0 || stats.Queries != 0 {
 		t.Fatalf("out=%v stats=%+v err=%v", out, stats, err)
+	}
+}
+
+// TestReopenedTreeServesEngineUnderWriter reopens a file-backed index with
+// OpenTree — group commit on, so the deadline timer runs too — and drives
+// it with a four-worker QueryEngine (range and NN batches) while one
+// goroutine inserts and deletes. Run with -race: every tree OpenTree
+// returns must be safe to share across goroutines. Afterwards the
+// committed structure must be valid and no query may have leaked a pin.
+func TestReopenedTreeServesEngineUnderWriter(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "reopen.utree")
+	cfg := Config{Dimensions: 2, Path: path, MonteCarloSamples: 200, BufferPages: 16,
+		GroupCommitOps: 4, GroupCommitInterval: 5 * time.Millisecond}
+	built, err := NewTree(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.BulkLoad(shardedFixtureObjects(300, 17)); err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := OpenTree(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+
+	rng := rand.New(rand.NewSource(23))
+	ranges := make([]RangeQuery, 16)
+	nns := make([]NNQuery, 16)
+	for i := range ranges {
+		x, y := rng.Float64()*900, rng.Float64()*900
+		ranges[i] = RangeQuery{Rect: Box(Pt(x, y), Pt(x+100, y+100)), Prob: 0.3 + 0.4*rng.Float64()}
+		nns[i] = NNQuery{Point: Pt(x, y), K: 3}
+	}
+
+	stop := make(chan struct{})
+	writerErr := make(chan error, 1)
+	go func() {
+		wrng := rand.New(rand.NewSource(29))
+		for id := int64(10000); ; id++ {
+			select {
+			case <-stop:
+				writerErr <- nil
+				return
+			default:
+			}
+			if err := tree.Insert(id, UniformCircle(Pt(wrng.Float64()*1000, wrng.Float64()*1000), 8)); err != nil {
+				writerErr <- fmt.Errorf("insert %d: %w", id, err)
+				return
+			}
+			if id%2 == 0 {
+				if err := tree.Delete(id); err != nil {
+					writerErr <- fmt.Errorf("delete %d: %w", id, err)
+					return
+				}
+			}
+		}
+	}()
+
+	eng := NewQueryEngine(tree, EngineOptions{Workers: 4})
+	for round := 0; round < 3; round++ {
+		if _, _, err := eng.SearchBatch(context.Background(), ranges); err != nil {
+			t.Fatalf("round %d SearchBatch: %v", round, err)
+		}
+		if _, _, err := eng.NNBatch(context.Background(), nns); err != nil {
+			t.Fatalf("round %d NNBatch: %v", round, err)
+		}
+	}
+	close(stop)
+	if err := <-writerErr; err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after engine + writer: %v", err)
+	}
+	if pins := tree.GCInfo().Pins; pins != 0 {
+		t.Fatalf("%d snapshot pins leaked", pins)
 	}
 }

@@ -33,12 +33,14 @@ type Neighbor = core.NNResult
 type NNStats = core.NNStats
 
 // NearestNeighbors returns the k objects with the smallest expected
-// distance E[dist(o, q)] to the query point, ascending. It honors ctx and
-// the per-query options under the same contract as Search (WithLimit caps
-// k; a cancelled traversal returns the neighbors found so far with
-// ctx.Err()).
+// distance E[dist(o, q)] to the query point, ascending. It runs against a
+// pinned snapshot and honors ctx and the per-query options under the same
+// contract as Search (WithLimit caps k; a cancelled traversal returns the
+// neighbors found so far with ctx.Err()).
 func (t *Tree) NearestNeighbors(ctx context.Context, q Point, k int, opts ...QueryOption) ([]Neighbor, NNStats, error) {
-	return t.inner.NearestNeighborsCtx(ctx, q, k, resolveOptions(opts))
+	snap := t.inner.Snapshot()
+	defer snap.Close()
+	return snap.NearestNeighbors(ctx, q, k, resolveOptions(opts))
 }
 
 // BulkLoad builds the index bottom-up (STR packing) from a batch of
@@ -47,6 +49,9 @@ func (t *Tree) NearestNeighbors(ctx context.Context, q Point, k int, opts ...Que
 // whole load commits as a single epoch: snapshots see either the empty
 // tree or the complete load, never a partial one.
 func (t *Tree) BulkLoad(objects map[int64]PDF) error {
+	if t.lockWriter() {
+		defer t.mu.Unlock()
+	}
 	if err := t.commitPending(); err != nil {
 		return err
 	}
@@ -73,6 +78,9 @@ type CostModel = core.CostModel
 // BuildCostModel summarizes the tree for analytical cost prediction over
 // the given data domain.
 func (t *Tree) BuildCostModel(domain Rect) (*CostModel, error) {
+	if t.lockWriter() {
+		defer t.mu.Unlock()
+	}
 	return t.inner.BuildCostModel(domain)
 }
 

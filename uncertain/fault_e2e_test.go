@@ -42,7 +42,7 @@ func TestTransientFaultsAbsorbedEndToEnd(t *testing.T) {
 	queries := shardedFixtureQueries(25, 8)
 	dir := t.TempDir()
 
-	clean, err := NewConcurrentTree(faultTestConfig(filepath.Join(dir, "clean.utree")))
+	clean, err := NewTree(faultTestConfig(filepath.Join(dir, "clean.utree")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestTransientFaultsAbsorbedEndToEnd(t *testing.T) {
 		chaos = pagefile.NewChaosStore(s, 3)
 		return chaos
 	}
-	faulty, err := NewConcurrentTree(cfg)
+	faulty, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestScrubberFindsSilentCorruption(t *testing.T) {
 		base = s.(pagefile.Corrupter)
 		return s
 	}
-	ct, err := NewConcurrentTree(cfg)
+	ct, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestScrubberFindsSilentCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reach, err := ct.tree.inner.ReachablePages()
+	reach, err := ct.inner.ReachablePages()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,8 +355,8 @@ func TestDegradedShardedReads(t *testing.T) {
 func TestCloseDiscardIdempotentAllVariants(t *testing.T) {
 	mk := map[string]func() (Index, error){
 		"tree": func() (Index, error) { return NewTree(Config{Dimensions: 2}) },
-		"concurrent": func() (Index, error) {
-			return NewConcurrentTree(Config{Dimensions: 2, GroupCommitInterval: time.Millisecond})
+		"group-timer": func() (Index, error) {
+			return NewTree(Config{Dimensions: 2, GroupCommitInterval: time.Millisecond})
 		},
 		"sharded": func() (Index, error) { return NewShardedTree(2, Config{Dimensions: 2}) },
 	}
@@ -397,7 +397,7 @@ func TestCloseDiscardIdempotentAllVariants(t *testing.T) {
 // index reverts to the pre-batch epoch and stays fully usable.
 func TestWriteBatchRollbackUnderWriteFaults(t *testing.T) {
 	var chaos *pagefile.ChaosStore
-	ct, err := NewConcurrentTree(Config{
+	ct, err := NewTree(Config{
 		Dimensions:       2,
 		ExactRefinement:  true,
 		BufferPages:      4,
@@ -489,7 +489,7 @@ func TestFaultedQueriesLeakNothing(t *testing.T) {
 		chaos = pagefile.NewChaosStore(s, 29)
 		return chaos
 	}
-	ct, err := NewConcurrentTree(cfg)
+	ct, err := NewTree(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,12 +516,11 @@ func TestFaultedQueriesLeakNothing(t *testing.T) {
 	// Error paths must have released their snapshot pins.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, pins, _ := ct.GCStats(); pins == 0 {
+		if ct.GCInfo().Pins == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			_, pins, _ := ct.GCStats()
-			t.Fatalf("%d snapshot pins leaked by faulted queries", pins)
+			t.Fatalf("%d snapshot pins leaked by faulted queries", ct.GCInfo().Pins)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -4,19 +4,17 @@ import (
 	"context"
 )
 
-// Index is the unified contract of every U-tree variant in this package:
-// the single-goroutine Tree, the snapshot-isolated ConcurrentTree, and
-// the scatter-gather ShardedTree. Code that drives an index — the batch
-// QueryEngine, the experiment harness, CLIs — should accept an Index so
-// callers pick the concurrency story that fits their workload:
+// Index is the unified contract of the two U-tree variants in this
+// package. Both are safe for concurrent use. Code that drives an index —
+// the batch QueryEngine, the experiment harness, CLIs — should accept an
+// Index so callers pick the layout that fits their workload:
 //
-//   - Tree: one goroutine, lowest overhead.
-//   - ConcurrentTree: lock-free snapshot reads beside one serialized
+//   - Tree: one U-tree. Lock-free snapshot reads beside one serialized
 //     writer; queries pin the committed epoch and never wait on a
 //     writer's page I/O.
-//   - ShardedTree: K independent ConcurrentTrees; queries fan out across
-//     all shards and overlap their page latencies, and writers on
-//     different shards proceed in parallel.
+//   - ShardedTree: K independent Trees; queries fan out across the shards
+//     and overlap their page latencies, and writers on different shards
+//     proceed in parallel.
 //
 // The query surface is context-first: every query takes a
 // context.Context for cancellation and deadlines (queries check it before
@@ -58,14 +56,6 @@ type Index interface {
 	Len() int
 	// CacheStats reports cumulative buffer-pool hits and misses (summed
 	// over shards for sharded indexes).
-	//
-	// The deprecated SetSimulatedPageLatency / SetPrefetchWorkers mutators
-	// were removed from this interface (PR 4 deprecation note): prefetch
-	// fan-out is per query (WithPrefetchWorkers) or per open
-	// (Config.PrefetchWorkers), and simulated latency is per open
-	// (Config.SimulatedPageLatency). The concrete index types keep
-	// SetSimulatedPageLatency as a tooling hook for build-then-measure
-	// harnesses.
 	CacheStats() (hits, misses int64)
 	// NodeCacheStats reports cumulative decoded-node-cache hits and misses
 	// (summed over shards for sharded indexes; both zero when
@@ -81,9 +71,8 @@ type Index interface {
 	Close() error
 }
 
-// Compile-time checks that every variant satisfies the interface.
+// Compile-time checks that both variants satisfy the interface.
 var (
 	_ Index = (*Tree)(nil)
-	_ Index = (*ConcurrentTree)(nil)
 	_ Index = (*ShardedTree)(nil)
 )

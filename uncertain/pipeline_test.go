@@ -54,7 +54,7 @@ func requireSameResults(t *testing.T, label string, want, got [][]Result) {
 }
 
 // TestPipelinedRangeEquivalence compares the serial and pipelined range
-// paths on one ConcurrentTree, Monte Carlo refinement (the strictest
+// paths on one Tree, Monte Carlo refinement (the strictest
 // check: any reordering of sampler consumption would change
 // probabilities), memory and file-backed stores.
 func TestPipelinedRangeEquivalence(t *testing.T) {
@@ -67,7 +67,7 @@ func TestPipelinedRangeEquivalence(t *testing.T) {
 			if backend == "file" {
 				cfg.Path = filepath.Join(t.TempDir(), "pipe.utree")
 			}
-			ct, err := NewConcurrentTree(cfg)
+			ct, err := NewTree(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestPipelinedRangeEquivalence(t *testing.T) {
 func TestPipelinedStatsParity(t *testing.T) {
 	objects := shardedFixtureObjects(500, 21)
 	queries := shardedFixtureQueries(40, 22)
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true, BufferPages: 16})
+	ct, err := NewTree(Config{Dimensions: 2, ExactRefinement: true, BufferPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestPipelinedShardedEquivalence(t *testing.T) {
 	objects := shardedFixtureObjects(600, 31)
 	queries := shardedFixtureQueries(50, 32)
 
-	single, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	single, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestPipelinedShardedEquivalence(t *testing.T) {
 // expected distances).
 func TestPipelinedNNEquivalence(t *testing.T) {
 	objects := shardedFixtureObjects(500, 41)
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, MonteCarloSamples: 300, BufferPages: 16})
+	ct, err := NewTree(Config{Dimensions: 2, MonteCarloSamples: 300, BufferPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestPipelinedSearchUnderWriter(t *testing.T) {
 			var idx Index
 			var err error
 			if tc.shards == 1 {
-				idx, err = NewConcurrentTree(cfg)
+				idx, err = NewTree(cfg)
 			} else {
 				idx, err = NewShardedTree(tc.shards, cfg)
 			}

@@ -30,7 +30,7 @@ func TestSpatialShardedEquivalenceAndPruning(t *testing.T) {
 		})
 	}
 
-	single, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	single, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSpatialShardedEquivalenceAndPruning(t *testing.T) {
 func TestSpatialShardedNNEquivalence(t *testing.T) {
 	objects := shardedFixtureObjects(500, 7)
 
-	single, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	single, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSpatialRoutingLifecycle(t *testing.T) {
 // shed overlapping queries with ErrAdmission (counted, non-fatal) while an
 // idle engine always admits, whatever the prediction.
 func TestAdmissionControl(t *testing.T) {
-	ct, err := NewConcurrentTree(spatialCfg())
+	ct, err := NewTree(spatialCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,15 +11,14 @@ import (
 	"repro/internal/core"
 )
 
-// ShardedTree partitions the object set across K independent
-// ConcurrentTree shards, each with its own store, buffer pool and writer
-// lock. Objects are routed to a shard by a hash of their ID, and queries
-// scatter-gather: every shard is searched concurrently and the partial
+// ShardedTree partitions the object set across K independent Tree shards,
+// each with its own store, buffer pool and writer lock. Objects are routed
+// to a shard by a hash of their ID, and queries scatter-gather: every
+// shard is searched concurrently on a pinned snapshot and the partial
 // answers are merged (with Stats summed via core's merge helpers).
 //
-// Compared to a single ConcurrentTree this buys two things on
-// latency-bound storage (the paper's setting — its cost model charges
-// 10 ms per page access):
+// Compared to a single Tree this buys two things on latency-bound storage
+// (the paper's setting — its cost model charges 10 ms per page access):
 //
 //   - One query overlaps its page stalls across shards: latency ≈ the
 //     slowest shard's share instead of the sum.
@@ -39,13 +38,12 @@ import (
 // scatter-gather then skips shards whose committed root box cannot
 // intersect the query — see Search and NearestNeighbors.
 type ShardedTree struct {
-	shards []*ConcurrentTree
+	shards []*Tree
 
-	// adaptive turns the scatter-gather into a planned fan-out: Search
-	// prunes shards by their committed root MBR, NearestNeighbors visits
-	// shards in ascending min-distance order under a shared k-th-distance
-	// bound. Both prune only provably non-contributing shards, so results
-	// stay identical to the full fan-out.
+	// adaptive selects the cost-ranked NN schedule: shards are visited in
+	// ascending min-distance order under a shared k-th-distance bound,
+	// which prunes only provably non-contributing shards, so results stay
+	// identical to the full fan-out.
 	adaptive bool
 
 	// Spatial routing state (NewSpatialShardedTree). Objects are routed by
@@ -66,20 +64,20 @@ func NewShardedTree(shards int, cfg Config) (*ShardedTree, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("uncertain: shard count %d, need ≥ 1", shards)
 	}
-	s := &ShardedTree{shards: make([]*ConcurrentTree, shards), adaptive: cfg.AdaptivePlanning}
+	s := &ShardedTree{shards: make([]*Tree, shards), adaptive: cfg.AdaptivePlanning}
 	for i := range s.shards {
 		scfg := cfg
 		if cfg.Path != "" {
 			scfg.Path = fmt.Sprintf("%s.shard%d", cfg.Path, i)
 		}
-		ct, err := NewConcurrentTree(scfg)
+		t, err := NewTree(scfg)
 		if err != nil {
 			for _, built := range s.shards[:i] {
 				built.Close()
 			}
 			return nil, fmt.Errorf("uncertain: shard %d: %w", i, err)
 		}
-		s.shards[i] = ct
+		s.shards[i] = t
 	}
 	return s, nil
 }
@@ -142,7 +140,7 @@ func (s *ShardedTree) shardIndex(id int64) int {
 	return int(h % uint64(len(s.shards)))
 }
 
-func (s *ShardedTree) shardFor(id int64) *ConcurrentTree {
+func (s *ShardedTree) shardFor(id int64) *Tree {
 	return s.shards[s.shardIndex(id)]
 }
 
@@ -371,13 +369,13 @@ func (s *ShardedTree) BulkLoad(objects map[int64]PDF) error {
 	return s.firstError(errs)
 }
 
-// Search scatter-gathers a probabilistic range query: every shard runs the
-// query concurrently (each on a pinned snapshot of its latest committed
-// epoch, overlapping page latencies), and the partial results are
-// concatenated, sorted by ID, and returned with the per-shard Stats
-// merged. The per-shard snapshots are pinned independently, so under a
-// live writer the merged answer reflects each shard's epoch at its own
-// pin time — within one shard the view is always consistent.
+// Search scatter-gathers a probabilistic range query: every shard's
+// latest committed epoch is pinned up front, the shards run the query
+// concurrently on their snapshots (overlapping page latencies), and the
+// partial results are concatenated, sorted by ID, and returned with the
+// per-shard Stats merged. Under a live writer the merged answer reflects
+// each shard's epoch at the moment the query pinned it — within one shard
+// the view is always consistent.
 //
 // Cancellation fans out: cancelling ctx (or passing its deadline) stops
 // every shard's traversal, and the partial answers the shards had already
@@ -391,97 +389,39 @@ func (s *ShardedTree) BulkLoad(objects map[int64]PDF) error {
 // the fan-out — the shards' answers are merged and returned with
 // ErrBudgetExceeded.
 //
-// With Config.AdaptivePlanning the fan-out is planned: shards whose
-// committed root MBR (the p=0 boundary box, which contains every object
-// region in the shard) is disjoint from rect cannot contribute a result
-// and are skipped without being queried, counted in Stats.ShardsPruned.
-// The pruning is purely subtractive of provably-empty work, so the merged
-// answer is identical to the full fan-out; it only bites when the shards
-// partition space (NewSpatialShardedTree).
+// Shards whose committed root MBR (the p=0 boundary box, which contains
+// every object region in the shard) is disjoint from rect cannot
+// contribute a result and are skipped without being queried, counted in
+// Stats.ShardsPruned. Shards record that box only under
+// Config.AdaptivePlanning, and the pruning only bites when the shards
+// partition space (NewSpatialShardedTree); it is purely subtractive of
+// provably-empty work, so the merged answer is identical to the full
+// fan-out.
 func (s *ShardedTree) Search(ctx context.Context, rect Rect, prob float64, opts ...QueryOption) ([]Result, Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	plan := resolveOptions(opts)
-	if s.adaptive {
-		return s.searchAdaptive(ctx, rect, prob, plan)
-	}
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	partRes := make([][]Result, len(s.shards))
-	partStats := make([]Stats, len(s.shards))
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			partRes[i], partStats[i], errs[i] = s.shards[i].Search(sctx, rect, prob, opts...)
-			if errs[i] != nil && !errors.Is(errs[i], ErrBudgetExceeded) && !plan.AllowDegraded {
-				cancel() // first real failure stops the sibling shards
-			}
-		}(i)
-	}
-	wg.Wait()
-	softErr, err := s.gatherError(ctx, errs, plan.AllowDegraded)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var out []Result
-	var stats Stats
-	for i := range s.shards {
-		out = append(out, partRes[i]...)
-		stats.Add(partStats[i])
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	if plan.Limit > 0 && len(out) > plan.Limit {
-		out = out[:plan.Limit]
-	}
-	return out, stats, softErr
-}
-
-// searchAdaptive is the planned fan-out behind Search when adaptive
-// planning is on: pin every shard's latest committed epoch, prune the
-// shards whose root MBR cannot intersect rect, and scatter the query over
-// the survivors. A shard is pruned only when the check is provably sound:
-// the query itself must be valid (otherwise it is sent down so the usual
-// validation error surfaces) and the shard's cached root MBR known and of
-// matching dimensionality — an unknown (zero) MBR is never pruned on.
-func (s *ShardedTree) searchAdaptive(ctx context.Context, rect Rect, prob float64, plan core.QueryOpts) ([]Result, Stats, error) {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	snaps := make([]*Snapshot, len(s.shards))
-	for i := range s.shards {
-		snaps[i] = s.shards[i].Snapshot()
-	}
-	defer func() {
-		for _, sn := range snaps {
-			if sn != nil {
-				sn.Close()
-			}
-		}
-	}()
-	canPrune := rect.IsValid() && prob > 0 && prob <= 1
+	snaps := s.pin()
+	defer closeAll(snaps)
+	q := core.Query{Rect: rect, Prob: prob}
 	pruned := 0
 	partRes := make([][]Result, len(s.shards))
 	partStats := make([]Stats, len(s.shards))
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
-	for i := range s.shards {
-		if canPrune {
-			root := snaps[i].inner.RootMBR()
-			if root.Dim() == rect.Dim() && root.IsValid() && !root.Intersects(rect) {
-				pruned++
-				snaps[i].Close()
-				snaps[i] = nil
-				continue
-			}
+	for i, snap := range snaps {
+		if prunes(snap, rect, prob) {
+			pruned++
+			continue
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			partRes[i], partStats[i], errs[i] = snaps[i].inner.RangeQuery(sctx, core.Query{Rect: rect, Prob: prob}, plan)
-			if errs[i] != nil && !errors.Is(errs[i], ErrBudgetExceeded) && !plan.AllowDegraded {
+			partRes[i], partStats[i], errs[i] = snaps[i].RangeQuery(sctx, q, plan)
+			if fatal(errs[i], plan) {
 				cancel() // first real failure stops the sibling shards
 			}
 		}(i)
@@ -491,25 +431,91 @@ func (s *ShardedTree) searchAdaptive(ctx context.Context, rect Rect, prob float6
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	out, stats := mergeRange(partRes, partStats, pruned, plan.Limit)
+	return out, stats, softErr
+}
+
+// pin pins every shard's latest committed epoch; release with closeAll.
+func (s *ShardedTree) pin() []*core.Snapshot {
+	snaps := make([]*core.Snapshot, len(s.shards))
+	for i, sh := range s.shards {
+		snaps[i] = sh.inner.Snapshot()
+	}
+	return snaps
+}
+
+func closeAll(snaps []*core.Snapshot) {
+	for _, sn := range snaps {
+		sn.Close()
+	}
+}
+
+// prunes reports whether a pinned shard provably holds no answer to the
+// range query: its committed root MBR is known and disjoint from rect. An
+// unknown (zero) MBR — every shard without adaptive planning — never
+// prunes, nor does an invalid query, so its validation error surfaces.
+func prunes(snap *core.Snapshot, rect Rect, prob float64) bool {
+	root := snap.RootMBR()
+	return rect.IsValid() && prob > 0 && prob <= 1 &&
+		root.Dim() == rect.Dim() && root.IsValid() && !root.Intersects(rect)
+}
+
+// fatal reports whether a shard's error should cancel its siblings: any
+// real failure, unless the query accepts degraded answers. Budget
+// exhaustion is never fatal to the fan-out.
+func fatal(err error, plan core.QueryOpts) bool {
+	return err != nil && !errors.Is(err, ErrBudgetExceeded) && !plan.AllowDegraded
+}
+
+// mergeRange is the range gather tail: concatenate the shards' answers in
+// ID order (the documented merge order), apply the result limit, and sum
+// the shards' stats plus the shards the fan-out skipped.
+func mergeRange(parts [][]Result, partStats []Stats, pruned, limit int) ([]Result, Stats) {
 	var out []Result
 	var stats Stats
-	for i := range s.shards {
-		out = append(out, partRes[i]...)
+	for i := range parts {
+		out = append(out, parts[i]...)
 		stats.Add(partStats[i])
 	}
 	stats.ShardsPruned += pruned
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	if plan.Limit > 0 && len(out) > plan.Limit {
-		out = out[:plan.Limit]
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
 	}
-	return out, stats, softErr
+	return out, stats
+}
+
+// mergeNN is the NN gather tail: keep the k globally smallest expected
+// distances (ties broken by ID), capped by the result limit, and sum the
+// shards' stats plus the shards the schedule skipped. The merge is exact —
+// an object in the global top k is necessarily in its own shard's top k.
+func mergeNN(parts [][]Neighbor, partStats []NNStats, pruned, k, limit int) ([]Neighbor, NNStats) {
+	var merged []Neighbor
+	var stats NNStats
+	for i := range parts {
+		merged = append(merged, parts[i]...)
+		stats.Add(partStats[i])
+	}
+	stats.ShardsPruned += pruned
+	sort.Slice(merged, func(a, b int) bool {
+		if merged[a].ExpectedDist != merged[b].ExpectedDist {
+			return merged[a].ExpectedDist < merged[b].ExpectedDist
+		}
+		return merged[a].ID < merged[b].ID // deterministic tie-break
+	})
+	if limit > 0 && limit < k {
+		k = limit
+	}
+	if len(merged) > k {
+		merged = merged[:k]
+	}
+	return merged, stats
 }
 
 // NearestNeighbors scatter-gathers an expected-distance k-NN query: each
-// shard reports its own top k concurrently, and the k-way merge keeps the
-// k globally smallest expected distances. The merge is exact — an object
-// in the global top k is necessarily in its own shard's top k. See Search
-// for the cancellation and budget fan-out semantics.
+// shard reports its own top k concurrently on a pinned snapshot, and the
+// merge keeps the k globally smallest expected distances. See Search for
+// the cancellation and budget fan-out semantics.
 //
 // With Config.AdaptivePlanning the shards are visited in ascending order
 // of min-distance from q to their committed root MBR: the nearest shard
@@ -523,79 +529,60 @@ func (s *ShardedTree) NearestNeighbors(ctx context.Context, q Point, k int, opts
 		ctx = context.Background()
 	}
 	plan := resolveOptions(opts)
-	if s.adaptive {
-		return s.nnAdaptive(ctx, q, k, plan)
-	}
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	snaps := s.pin()
+	defer closeAll(snaps)
 	partRes := make([][]Neighbor, len(s.shards))
 	partStats := make([]NNStats, len(s.shards))
 	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			partRes[i], partStats[i], errs[i] = s.shards[i].NearestNeighbors(sctx, q, k, opts...)
-			if errs[i] != nil && !errors.Is(errs[i], ErrBudgetExceeded) && !plan.AllowDegraded {
-				cancel()
-			}
-		}(i)
+	run := func(i int) error {
+		partRes[i], partStats[i], errs[i] = snaps[i].NearestNeighbors(sctx, q, k, plan)
+		if fatal(errs[i], plan) {
+			cancel() // first real failure stops the sibling shards
+		}
+		return errs[i]
 	}
-	wg.Wait()
+	pruned := 0
+	if s.adaptive {
+		pruned = nnRanked(snaps, q, &plan, run)
+	} else {
+		var wg sync.WaitGroup
+		for i := range snaps {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				run(i)
+			}(i)
+		}
+		wg.Wait()
+	}
 	softErr, err := s.gatherError(ctx, errs, plan.AllowDegraded)
 	if err != nil {
 		return nil, NNStats{}, err
 	}
-	var merged []Neighbor
-	var stats NNStats
-	for i := range s.shards {
-		merged = append(merged, partRes[i]...)
-		stats.Add(partStats[i])
-	}
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].ExpectedDist != merged[b].ExpectedDist {
-			return merged[a].ExpectedDist < merged[b].ExpectedDist
-		}
-		return merged[a].ID < merged[b].ID // deterministic tie-break
-	})
-	if plan.Limit > 0 && plan.Limit < k {
-		k = plan.Limit
-	}
-	if len(merged) > k {
-		merged = merged[:k]
-	}
+	merged, stats := mergeNN(partRes, partStats, pruned, k, plan.Limit)
 	return merged, stats, softErr
 }
 
-// nnAdaptive is the cost-ranked fan-out behind NearestNeighbors when
-// adaptive planning is on. Shards are ranked by min-distance from q to
-// their committed root MBR (unknown MBRs rank first and are never
-// pruned). The nearest shard runs serially to fill the shared bound with
-// its k-th expected distance; the remaining shards then run concurrently,
-// each double-gated — skipped outright when its min-distance exceeds the
-// bound at launch, and internally cut short by the same bound inside
-// core's traversal (NNStats.BoundPruned).
-func (s *ShardedTree) nnAdaptive(ctx context.Context, q Point, k int, plan core.QueryOpts) ([]Neighbor, NNStats, error) {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	snaps := make([]*Snapshot, len(s.shards))
-	for i := range s.shards {
-		snaps[i] = s.shards[i].Snapshot()
-	}
-	defer func() {
-		for _, sn := range snaps {
-			sn.Close()
-		}
-	}()
+// nnRanked is the cost-ranked NN schedule behind NearestNeighbors when
+// adaptive planning is on; it runs the shards through run and returns how
+// many it skipped. Shards are ranked by min-distance from q to their
+// committed root MBR (unknown MBRs rank first and are never pruned). The
+// nearest shard runs serially to fill the shared bound (installed in plan)
+// with its k-th expected distance; the remaining shards then run
+// concurrently, each double-gated — skipped outright when its min-distance
+// exceeds the bound at launch, and internally cut short by the same bound
+// inside core's traversal (NNStats.BoundPruned).
+func nnRanked(snaps []*core.Snapshot, q Point, plan *core.QueryOpts, run func(i int) error) (pruned int) {
 	type rankedShard struct {
 		idx int
 		d   float64 // min possible expected distance of any object in the shard
 	}
-	order := make([]rankedShard, len(s.shards))
-	for i := range s.shards {
+	order := make([]rankedShard, len(snaps))
+	for i, snap := range snaps {
 		d := 0.0
-		if root := snaps[i].inner.RootMBR(); root.Dim() == len(q) && root.IsValid() {
+		if root := snap.RootMBR(); root.Dim() == len(q) && root.IsValid() {
 			d = core.MinDist(q, root)
 		}
 		order[i] = rankedShard{idx: i, d: d}
@@ -608,57 +595,25 @@ func (s *ShardedTree) nnAdaptive(ctx context.Context, q Point, k int, plan core.
 	})
 	bound := core.NewNNBound()
 	plan.NNBound = bound
-	partRes := make([][]Neighbor, len(s.shards))
-	partStats := make([]NNStats, len(s.shards))
-	errs := make([]error, len(s.shards))
-	pruned := 0
-	first := order[0].idx
-	partRes[first], partStats[first], errs[first] = snaps[first].inner.NearestNeighbors(sctx, q, k, plan)
-	fatalFirst := errs[first] != nil && !errors.Is(errs[first], ErrBudgetExceeded) && !plan.AllowDegraded
-	if !fatalFirst {
-		var wg sync.WaitGroup
-		for _, r := range order[1:] {
-			// Strict >: a shard tying the bound may still hold an
-			// equal-distance, smaller-ID neighbor the merge must see.
-			if r.d > bound.Load() {
-				pruned++
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				partRes[i], partStats[i], errs[i] = snaps[i].inner.NearestNeighbors(sctx, q, k, plan)
-				if errs[i] != nil && !errors.Is(errs[i], ErrBudgetExceeded) && !plan.AllowDegraded {
-					cancel()
-				}
-			}(r.idx)
+	if fatal(run(order[0].idx), *plan) {
+		return 0
+	}
+	var wg sync.WaitGroup
+	for _, r := range order[1:] {
+		// Strict >: a shard tying the bound may still hold an
+		// equal-distance, smaller-ID neighbor the merge must see.
+		if r.d > bound.Load() {
+			pruned++
+			continue
 		}
-		wg.Wait()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			run(i)
+		}(r.idx)
 	}
-	softErr, err := s.gatherError(ctx, errs, plan.AllowDegraded)
-	if err != nil {
-		return nil, NNStats{}, err
-	}
-	var merged []Neighbor
-	var stats NNStats
-	for i := range s.shards {
-		merged = append(merged, partRes[i]...)
-		stats.Add(partStats[i])
-	}
-	stats.ShardsPruned += pruned
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].ExpectedDist != merged[b].ExpectedDist {
-			return merged[a].ExpectedDist < merged[b].ExpectedDist
-		}
-		return merged[a].ID < merged[b].ID // deterministic tie-break
-	})
-	if plan.Limit > 0 && plan.Limit < k {
-		k = plan.Limit
-	}
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged, stats, softErr
+	wg.Wait()
+	return pruned
 }
 
 // gatherError classifies the per-shard errors of one scatter-gather into a
@@ -727,20 +682,17 @@ func (s *ShardedTree) PlannerInfo() PlannerInfo {
 }
 
 // PredictSearchIO sums the shards' predicted node accesses for a Search,
-// skipping shards the adaptive fan-out would prune — the engine's
-// admission-control input. ok is false when no shard has a model yet.
+// skipping the shards Search would prune — the engine's admission-control
+// input. ok is false when no shard has a model yet.
 func (s *ShardedTree) PredictSearchIO(rect Rect, prob float64) (float64, bool) {
-	canPrune := s.adaptive && rect.IsValid() && prob > 0 && prob <= 1
 	var sum float64
 	any := false
 	for _, sh := range s.shards {
-		if canPrune {
-			snap := sh.Snapshot()
-			root := snap.inner.RootMBR()
-			snap.Close()
-			if root.Dim() == rect.Dim() && root.IsValid() && !root.Intersects(rect) {
-				continue
-			}
+		snap := sh.inner.Snapshot()
+		skip := prunes(snap, rect, prob)
+		snap.Close()
+		if skip {
+			continue
 		}
 		if p, ok := sh.PredictSearchIO(rect, prob); ok {
 			sum += p

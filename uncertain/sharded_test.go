@@ -52,7 +52,7 @@ func TestShardedSingleEquivalence(t *testing.T) {
 	objects := shardedFixtureObjects(600, 3)
 	queries := shardedFixtureQueries(80, 4)
 
-	single, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true})
+	single, err := NewTree(Config{Dimensions: 2, ExactRefinement: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestShardedSingleEquivalence(t *testing.T) {
 func TestShardedNNMatchesSingle(t *testing.T) {
 	objects := shardedFixtureObjects(400, 7)
 
-	single, err := NewConcurrentTree(Config{Dimensions: 2})
+	single, err := NewTree(Config{Dimensions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,9 @@ import (
 // the pins drain (no page leak, no goroutine leak). Run with -race: the
 // whole point is readers and a writer on the same tree at once.
 
-func snapshotFixture(t *testing.T, n int) (*ConcurrentTree, Rect) {
+func snapshotFixture(t *testing.T, n int) (*Tree, Rect) {
 	t.Helper()
-	ct, err := NewConcurrentTree(Config{Dimensions: 2, ExactRefinement: true, BufferPages: 32})
+	ct, err := NewTree(Config{Dimensions: 2, ExactRefinement: true, BufferPages: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ func TestSnapshotReclamation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, pins, pending := ct.GCStats(); pins != 1 || pending == 0 {
-		t.Fatalf("with a live pin: pins=%d pending=%d, want pins=1 and pending>0", pins, pending)
+	if gc := ct.GCInfo(); gc.Pins != 1 || gc.PendingPages == 0 {
+		t.Fatalf("with a live pin: pins=%d pending=%d, want pins=1 and pending>0", gc.Pins, gc.PendingPages)
 	}
 	if _, _, err := snap.Search(ctx, all, 0.5); err != nil {
 		t.Fatal(err)
@@ -132,8 +132,8 @@ func TestSnapshotReclamation(t *testing.T) {
 	if err := ct.Flush(); err != nil { // writer-side reclaim
 		t.Fatal(err)
 	}
-	if _, pins, pending := ct.GCStats(); pins != 0 || pending != 0 {
-		t.Fatalf("after close+flush: pins=%d pending=%d, want 0/0", pins, pending)
+	if gc := ct.GCInfo(); gc.Pins != 0 || gc.PendingPages != 0 {
+		t.Fatalf("after close+flush: pins=%d pending=%d, want 0/0", gc.Pins, gc.PendingPages)
 	}
 	if err := ct.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -243,8 +243,8 @@ func TestSnapshotReaderWriterHammer(t *testing.T) {
 	if err := ct.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, pins, pending := ct.GCStats(); pins != 0 || pending != 0 {
-		t.Fatalf("after drain: pins=%d pendingPages=%d, want 0/0", pins, pending)
+	if gc := ct.GCInfo(); gc.Pins != 0 || gc.PendingPages != 0 {
+		t.Fatalf("after drain: pins=%d pendingPages=%d, want 0/0", gc.Pins, gc.PendingPages)
 	}
 	if err := ct.CheckInvariants(); err != nil {
 		t.Fatal(err)

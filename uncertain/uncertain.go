@@ -25,6 +25,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -155,9 +157,8 @@ type Config struct {
 	// never a committed prefix. 0 or 1 keeps one-epoch-per-op auto-commit.
 	GroupCommitOps int
 	// GroupCommitInterval > 0 bounds how long an open group may age before
-	// it commits. On a bare Tree the deadline is checked at each mutation;
-	// ConcurrentTree additionally runs a timer so an idle writer's tail
-	// commits within roughly the interval. Usable with or without
+	// it commits: a timer goroutine seals the group within about 1.25
+	// intervals of its first mutation. Usable with or without
 	// GroupCommitOps.
 	GroupCommitInterval time.Duration
 	// ReclaimInterval > 0 starts the background epoch reclaimer: retired
@@ -211,8 +212,18 @@ type Config struct {
 }
 
 // Tree is a dynamic index over uncertain objects supporting probabilistic
-// range search. Not safe for concurrent use.
+// range search, safe for concurrent use with snapshot isolation: every
+// query pins the latest committed epoch and traverses it with no lock
+// held, while mutations — serialized among themselves by a writer mutex —
+// build copy-on-write shadow pages and atomically publish a new epoch on
+// commit. A long-running query therefore never blocks a writer and a slow
+// writer never stalls a read; a query sees exactly the epoch that was
+// committed when it started (queries started before a delete still return
+// the deleted object; queries started after do not, and under group commit
+// an open group's mutations stay invisible until it commits). Retired
+// pages are reclaimed by the epoch GC once no snapshot pins them.
 type Tree struct {
+	mu      sync.Mutex // serializes writers; the read path takes no lock
 	inner   *core.Tree
 	file    *pagefile.FileStore
 	meta    pagefile.PageID
@@ -230,6 +241,17 @@ type Tree struct {
 	groupStart time.Time // first mutation of the open group
 	inBatch    bool      // explicit WriteBatch in progress
 	undo       []pdfUndo
+	// batchG is the ID of the goroutine running WriteBatch's fn (0 when
+	// none), so that fn's own calls into the tree skip the writer mutex.
+	batchG atomic.Uint64
+
+	// Group-commit deadline timer (Config.GroupCommitInterval > 0): seals
+	// an open group once it ages past the interval, whether or not the
+	// writer is still active. tickErr stashes a timer-side commit failure,
+	// surfaced at the next Flush or Close.
+	tickStop chan struct{}
+	tickDone chan struct{}
+	tickErr  error // under mu
 }
 
 // NewTree creates an empty index.
@@ -297,8 +319,15 @@ func NewTree(cfg Config) (*Tree, error) {
 		t.Discard()
 		return nil, err
 	}
+	t.startGroupTimer()
 	return t, nil
 }
+
+// NewConcurrentTree creates an index; Tree itself is safe for concurrent
+// use.
+//
+// Deprecated: use NewTree.
+func NewConcurrentTree(cfg Config) (*Tree, error) { return NewTree(cfg) }
 
 // buildRetry tops the store stack with the transient-fault retry layer —
 // above the simulated-latency store (each retry attempt is a fresh I/O and
@@ -367,6 +396,14 @@ func (t *Tree) rollback(opErr error) error {
 // failure the tree rolls back to the last committed epoch — dropping any
 // uncommitted grouped operations with it — and remains usable.
 func (t *Tree) Insert(id int64, pdf PDF) error {
+	if t.lockWriter() {
+		defer t.mu.Unlock()
+	}
+	return t.insertLocked(id, pdf)
+}
+
+// insertLocked is Insert for a caller holding the writer mutex.
+func (t *Tree) insertLocked(id int64, pdf PDF) error {
 	t.beginGroupOp()
 	if err := t.inner.Insert(core.Object{ID: id, PDF: pdf}); err != nil {
 		return t.rollback(err)
@@ -380,11 +417,19 @@ func (t *Tree) Insert(id int64, pdf PDF) error {
 // Commit granularity follows the group-commit policy (see Insert);
 // snapshots pinned before the group's commit still see the object.
 func (t *Tree) Delete(id int64) error {
+	if t.lockWriter() {
+		defer t.mu.Unlock()
+	}
+	return t.deleteLocked(id)
+}
+
+// deleteLocked is Delete for a caller holding the writer mutex.
+func (t *Tree) deleteLocked(id int64) error {
 	mbr, ok := t.pdfs[id]
 	if !ok {
 		return fmt.Errorf("uncertain: id %d not tracked in this session; use DeleteWithRegion", id)
 	}
-	return t.DeleteWithRegion(id, mbr)
+	return t.deleteWithRegionLocked(id, mbr)
 }
 
 // DeleteWithRegion removes an object by ID and its region MBR (the pdf's
@@ -392,6 +437,15 @@ func (t *Tree) Delete(id int64) error {
 // policy (see Insert). A not-found delete mutates nothing and leaves the
 // open group intact.
 func (t *Tree) DeleteWithRegion(id int64, regionMBR Rect) error {
+	if t.lockWriter() {
+		defer t.mu.Unlock()
+	}
+	return t.deleteWithRegionLocked(id, regionMBR)
+}
+
+// deleteWithRegionLocked is DeleteWithRegion for a caller holding the
+// writer mutex.
+func (t *Tree) deleteWithRegionLocked(id int64, regionMBR Rect) error {
 	t.beginGroupOp()
 	if err := t.inner.Delete(id, regionMBR); err != nil {
 		if errors.Is(err, core.ErrNotFound) {
@@ -404,19 +458,67 @@ func (t *Tree) DeleteWithRegion(id int64, regionMBR Rect) error {
 }
 
 // Search answers a probabilistic range query: the objects appearing in
-// rect with probability ≥ prob (prob in (0, 1]). The traversal checks ctx
-// before every page fetch and refinement integration, so cancellation and
-// deadlines take effect within roughly one page latency; on early exit
-// (ctx.Err(), or ErrBudgetExceeded under WithPageBudget) the results and
-// stats gathered so far are returned alongside the error.
+// rect with probability ≥ prob (prob in (0, 1]). It runs against a
+// snapshot of the latest committed epoch with no lock held, so any number
+// of goroutines search in parallel with each other and with a live writer.
+// Each query's refinement sampler is seeded from the (tree seed, query)
+// pair, so results are reproducible per query whatever the interleaving.
+// The traversal checks ctx before every page fetch and refinement
+// integration, so cancellation and deadlines take effect within roughly
+// one page latency; on early exit (ctx.Err(), or ErrBudgetExceeded under
+// WithPageBudget) the results and stats gathered so far are returned
+// alongside the error.
 func (t *Tree) Search(ctx context.Context, rect Rect, prob float64, opts ...QueryOption) ([]Result, Stats, error) {
-	return t.inner.RangeQueryCtx(ctx, core.Query{Rect: rect, Prob: prob}, resolveOptions(opts))
+	snap := t.inner.Snapshot()
+	defer snap.Close()
+	return snap.RangeQuery(ctx, core.Query{Rect: rect, Prob: prob}, resolveOptions(opts))
 }
+
+// Snapshot pins the latest committed epoch and returns a handle whose
+// queries all observe that same frozen tree — a consistent multi-query
+// read. Close it when done; the pin holds the epoch's retired pages from
+// reclamation until then.
+func (t *Tree) Snapshot() *Snapshot {
+	return &Snapshot{inner: t.inner.Snapshot()}
+}
+
+// Snapshot is a pinned, immutable view of one committed epoch of a Tree.
+// All queries on it observe the same tree regardless of concurrent
+// writers; Close releases the pin (idempotent). The zero value is not
+// usable — obtain one from Tree.Snapshot.
+type Snapshot struct {
+	inner *core.Snapshot
+}
+
+// Search answers a probabilistic range query against the pinned epoch
+// (same contract as Tree.Search, minus the "latest epoch" part).
+func (s *Snapshot) Search(ctx context.Context, rect Rect, prob float64, opts ...QueryOption) ([]Result, Stats, error) {
+	return s.inner.RangeQuery(ctx, core.Query{Rect: rect, Prob: prob}, resolveOptions(opts))
+}
+
+// NearestNeighbors answers an expected-distance k-NN query against the
+// pinned epoch.
+func (s *Snapshot) NearestNeighbors(ctx context.Context, q Point, k int, opts ...QueryOption) ([]Neighbor, NNStats, error) {
+	return s.inner.NearestNeighbors(ctx, q, k, resolveOptions(opts))
+}
+
+// Len returns the object count at the pinned epoch.
+func (s *Snapshot) Len() int { return s.inner.Len() }
+
+// Epoch returns the pinned epoch number.
+func (s *Snapshot) Epoch() uint64 { return s.inner.Epoch() }
+
+// CheckInvariants validates the pinned epoch's structure.
+func (s *Snapshot) CheckInvariants() error { return s.inner.CheckInvariants() }
+
+// Close releases the pin; idempotent. Retired pages of later epochs drain
+// at the next writer-side commit or flush.
+func (s *Snapshot) Close() { s.inner.Close() }
 
 // SetSimulatedPageLatency arms or disarms the simulated storage latency at
 // runtime — e.g. zero during a bulk build, then the target value for
 // measurement. Works on any tree built by NewTree/OpenTree, whatever the
-// Config started with.
+// Config started with, and is safe to call concurrently with queries.
 //
 // Deprecated: set Config.SimulatedPageLatency when opening the index; the
 // mutator remains for build-then-measure tooling.
@@ -430,65 +532,93 @@ func (t *Tree) SetSimulatedPageLatency(d time.Duration) {
 // through to the store and drains whatever retired epochs' pages the
 // current snapshot pins allow. Useful before a read-heavy phase: a clean
 // pool evicts without write-backs, so concurrent searches never stall on
-// flushing another query's victim.
+// flushing another query's victim. Also surfaces any commit failure
+// stashed by the group-deadline timer.
 func (t *Tree) Flush() error {
-	if err := t.commitPending(); err != nil {
-		return err
+	if t.lockWriter() {
+		defer t.mu.Unlock()
 	}
-	return t.inner.Flush()
+	err := t.commitPending()
+	if err == nil {
+		err = t.inner.Flush()
+	}
+	if terr := t.takeTickErr(); err == nil {
+		err = terr
+	}
+	return err
 }
 
 // Epoch returns the last committed epoch number (each completed mutation
 // is one epoch).
 func (t *Tree) Epoch() uint64 { return t.inner.Epoch() }
 
-// GCStats reports the epoch collector's state: committed epoch, live
-// snapshot pins, and pages awaiting reclamation — the observability
-// surface for leak assertions in tests and tooling.
-func (t *Tree) GCStats() (epoch uint64, pins int, pendingPages int) {
-	return t.inner.GCStats()
-}
-
-// GCInfo is the epoch collector's full health report: pending
-// epochs/pages/tombstones, lifetime reclaim counters, and whether the
-// background reclaimer is running.
+// GCInfo is the epoch collector's health report: committed epoch, live
+// snapshot pins, pending epochs/pages/tombstones, lifetime reclaim
+// counters, and whether the background reclaimer is running — the
+// observability surface for leak assertions in tests and tooling.
 type GCInfo = pagefile.GCInfo
 
-// GCInfo reports the epoch collector's full health (see GCStats for the
-// compact form).
+// GCInfo reports the epoch collector's health; safe to call concurrently
+// with queries and the writer.
 func (t *Tree) GCInfo() GCInfo { return t.inner.GCInfo() }
 
-// Len returns the number of indexed objects.
-func (t *Tree) Len() int { return t.inner.Len() }
+// Len returns the object count of the latest committed epoch (lock-free;
+// an in-progress mutation or open commit group is not yet visible).
+func (t *Tree) Len() int { return t.inner.CommittedLen() }
 
 // Height returns the tree height in levels.
-func (t *Tree) Height() int { return t.inner.Height() }
+func (t *Tree) Height() int {
+	if t.lockWriter() {
+		defer t.mu.Unlock()
+	}
+	return t.inner.Height()
+}
 
 // SizeBytes reports the total storage footprint (index + data pages).
-func (t *Tree) SizeBytes() int64 { return t.inner.SizeBytes() }
+func (t *Tree) SizeBytes() int64 {
+	if t.lockWriter() {
+		defer t.mu.Unlock()
+	}
+	return t.inner.SizeBytes()
+}
 
-// CacheStats reports the buffer pool's cumulative hit/miss counters.
+// CacheStats reports the buffer pool's cumulative hit/miss counters
+// (atomic; callable concurrently with searches).
 func (t *Tree) CacheStats() (hits, misses int64) { return t.inner.CacheStats() }
 
 // NodeCacheStats reports the decoded-node cache's cumulative hit/miss
-// counters (both zero when Config.NodeCacheEntries is negative).
+// counters (both zero when Config.NodeCacheEntries is negative). Safe to
+// call concurrently with queries and the writer.
 func (t *Tree) NodeCacheStats() (hits, misses int64) { return t.inner.NodeCacheStats() }
 
-// CheckInvariants validates the index structure (for tests and tooling).
-func (t *Tree) CheckInvariants() error { return t.inner.CheckInvariants() }
+// CheckInvariants validates the latest committed epoch's structure on a
+// pinned snapshot — safe to run concurrently with a writer.
+func (t *Tree) CheckInvariants() error {
+	snap := t.inner.Snapshot()
+	defer snap.Close()
+	return snap.CheckInvariants()
+}
 
-// Close stops the background reclaimer and scrubber, commits any final
-// state — sealing an open commit group — drains the last retired pages,
-// and, for file-backed trees, closes the file. Without grouping every
-// mutation already committed durably, so Close adds nothing a crash would
-// lose; under group commit the open group's tail becomes durable here.
-// Close is also the last chance to surface a reclaim failure stashed by an
-// earlier commit (such a failure leaked pages; it never corrupted data).
+// Close stops the group-deadline timer, the background reclaimer and the
+// scrubber, commits any final state — sealing an open commit group —
+// drains the last retired pages, and, for file-backed trees, closes the
+// file. Without grouping every mutation already committed durably, so
+// Close adds nothing a crash would lose; under group commit the open
+// group's tail becomes durable here. Close is also the last chance to
+// surface a commit failure stashed by the group-deadline timer or a
+// reclaim failure stashed by an earlier commit (such a failure leaked
+// pages; it never corrupted data).
 //
 // Close is idempotent, and remains safe after a failed commit or after
 // Discard: repeated calls return nil without touching the (already
 // released) storage again.
 func (t *Tree) Close() error {
+	if t.inOwnBatch() {
+		return errInsideBatch
+	}
+	t.stopGroupTimer()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
 		return nil
 	}
@@ -504,6 +634,9 @@ func (t *Tree) Close() error {
 		if cerr := t.file.Close(); err == nil {
 			err = cerr
 		}
+	}
+	if terr := t.takeTickErr(); err == nil {
+		err = terr
 	}
 	return err
 }
@@ -526,8 +659,16 @@ func (t *Tree) unblockRetries() {
 // durable when the last operation stopped, as if the process died there.
 // OpenTree then recovers the last committed epoch — under group commit,
 // the last committed group boundary. In-memory trees just drop their
-// state. Discard is idempotent and safe after Close (and vice versa).
+// state. Discard stops the group-deadline timer like Close; it is
+// idempotent and safe after Close (and vice versa).
 func (t *Tree) Discard() error {
+	if t.inOwnBatch() {
+		return errInsideBatch
+	}
+	t.stopGroupTimer()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.tickErr = nil
 	if t.closed {
 		return nil
 	}
@@ -581,6 +722,7 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 		fs.Close()
 		return nil, fmt.Errorf("uncertain: open-time leak sweep: %w", err)
 	}
+	t.startGroupTimer()
 	return t, nil
 }
 
