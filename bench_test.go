@@ -200,7 +200,7 @@ func BenchmarkAblationCFB(b *testing.B) {
 }
 
 // BenchmarkInsert measures raw per-object insertion throughput of the
-// U-tree (PCR computation + simplex CFB fitting + tree descent).
+// U-tree (PCR computation + closed-form CFB fitting + tree descent).
 func BenchmarkInsert(b *testing.B) {
 	objs := dataset.Generate(dataset.Config{Name: dataset.LB, Scale: 0.5, Seed: 1})
 	tree, err := core.New(core.Options{Dim: 2})

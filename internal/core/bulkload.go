@@ -43,8 +43,9 @@ func (t *Tree) BulkLoad(objects []Object) error {
 	centersOf := func(es []entry, leaf bool) []float64 {
 		// flattened center coordinates per entry (med box center)
 		out := make([]float64, len(es)*t.dim)
+		scratch := newBoxes(2, t.dim)
 		for i := range es {
-			c := t.boxAt(t.boundary(&es[i], leaf), med).Center()
+			c := t.boxAt(t.boundary(&es[i], leaf, scratch), med).Center()
 			copy(out[i*t.dim:], c)
 		}
 		return out

@@ -69,7 +69,9 @@ func (t *Tree) findLeaf(page pagefile.PageID, path []pathElem, id int64, mbr geo
 		return nil, nil, -1, nil
 	}
 	for i := range n.entries {
-		if !containsEps(t.boxAt(n.entries[i].boxes, 0), mbr, 1e-7) {
+		// boxAt(boxes, 0) is boxes[0]: p_1 = 0 makes the interpolation
+		// factor 0.
+		if !containsEps(n.entries[i].boxes[0], mbr, 1e-7) {
 			continue
 		}
 		leaf, p, idx, err := t.findLeaf(n.entries[i].child, append(path, pathElem{n: n, childIdx: i}), id, mbr)
@@ -109,8 +111,7 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 				return err
 			}
 		} else if len(n.entries) > 0 {
-			parent.n.entries[parent.childIdx].boxes = t.nodeBoundary(n)
-			parent.n.entries[parent.childIdx].child = n.page // COW may have moved n
+			t.refreshEntry(&parent.n.entries[parent.childIdx], n) // COW may have moved n
 		}
 		if err := t.writeNode(parent.n); err != nil {
 			return err
@@ -164,11 +165,11 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 	for _, o := range orphans {
 		switch {
 		case o.level == 0:
-			if err := t.insertEntry(o.e, 0, make(map[int]bool)); err != nil {
+			if err := t.placeEntry(o.e, 0); err != nil {
 				return err
 			}
 		case o.level <= t.rootLevel:
-			if err := t.insertEntry(o.e, o.level, make(map[int]bool)); err != nil {
+			if err := t.placeEntry(o.e, o.level); err != nil {
 				return err
 			}
 		default:
@@ -177,7 +178,7 @@ func (t *Tree) condense(n *node, path []pathElem) error {
 				return err
 			}
 			for _, le := range leaves {
-				if err := t.insertEntry(le, 0, make(map[int]bool)); err != nil {
+				if err := t.placeEntry(le, 0); err != nil {
 					return err
 				}
 			}

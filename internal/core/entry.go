@@ -57,15 +57,28 @@ type entry struct {
 
 // boundary returns the entry's representative boxes used to build parent
 // entries: for U-tree entries 2 boxes (at p_1 and p_m), for U-PCR entries m
-// boxes (one per catalog value).
-func (t *Tree) boundary(e *entry, leaf bool) []geom.Rect {
+// boxes (one per catalog value). A U-tree leaf's two boxes are evaluated
+// from its cfb_out into scratch (two rectangles), so the result is valid
+// only until scratch is next written.
+func (t *Tree) boundary(e *entry, leaf bool, scratch []geom.Rect) []geom.Rect {
 	if !leaf {
 		return e.boxes
 	}
 	if t.kind == UTree {
-		return []geom.Rect{e.out.Rect(0), e.out.Rect(t.cat.Max())}
+		e.out.RectInto(0, scratch[0])
+		e.out.RectInto(t.cat.Max(), scratch[1])
+		return scratch[:2]
 	}
 	return e.pcrs
+}
+
+// boundaryLen is the number of boxes boundary returns: 2 for the U-tree,
+// m for U-PCR.
+func (t *Tree) boundaryLen() int {
+	if t.kind == UTree {
+		return 2
+	}
+	return t.cat.Size()
 }
 
 // boxAt evaluates an entry's bounding rectangle at catalog index j. For
@@ -148,6 +161,61 @@ func interpRect(a, b geom.Rect, f float64) geom.Rect {
 	return geom.Rect{Lo: lo, Hi: hi}
 }
 
+// boxAtInto writes boxAt(boxes, j) into dst's coordinates — the
+// allocation-free form used by the insert descent and the split, with
+// interpRect's arithmetic (the boxIntersectsAt contract), so every penalty
+// computed from dst is bit-identical to one computed from boxAt.
+func (t *Tree) boxAtInto(dst geom.Rect, boxes []geom.Rect, j int) {
+	if len(boxes) == t.cat.Size() {
+		copy(dst.Lo, boxes[j].Lo)
+		copy(dst.Hi, boxes[j].Hi)
+		return
+	}
+	if len(boxes) != 2 {
+		panic(fmt.Sprintf("core: entry with %d boxes (want 2 or %d)", len(boxes), t.cat.Size()))
+	}
+	f := t.cat.Value(j) / t.cat.Max()
+	a, b := boxes[0], boxes[1]
+	for i := range dst.Lo {
+		dst.Lo[i] = a.Lo[i] + (b.Lo[i]-a.Lo[i])*f
+		dst.Hi[i] = a.Hi[i] + (b.Hi[i]-a.Hi[i])*f
+	}
+}
+
+// overlap is geom.Rect.Overlap with its math.Max/math.Min calls written as
+// compares, which the compiler inlines. On the NaN-free coordinates of a
+// tree the two can differ only in the sign of a zero max or min, which
+// neither the lo ≥ hi test nor hi − lo can see, so the result is
+// bit-identical.
+func overlap(r, s geom.Rect) float64 {
+	v := 1.0
+	for i := range r.Lo {
+		lo, hi := r.Lo[i], r.Hi[i]
+		if s.Lo[i] > lo {
+			lo = s.Lo[i]
+		}
+		if s.Hi[i] < hi {
+			hi = s.Hi[i]
+		}
+		if lo >= hi {
+			return 0
+		}
+		v *= hi - lo
+	}
+	return v
+}
+
+// centerDist is geom.Rect.CenterDist without materializing the centers
+// (same arithmetic).
+func centerDist(r, s geom.Rect) float64 {
+	var sum float64
+	for i := range r.Lo {
+		d := (r.Lo[i]+r.Hi[i])/2 - (s.Lo[i]+s.Hi[i])/2
+		sum += d * d
+	}
+	return math.Sqrt(sum)
+}
+
 // unionBoundaries unions per-slot boxes of two boundary sets (same length).
 func unionBoundaries(dst, src []geom.Rect) {
 	for i := range dst {
@@ -155,13 +223,64 @@ func unionBoundaries(dst, src []geom.Rect) {
 	}
 }
 
-// cloneBoxes deep-copies a boundary set.
-func cloneBoxes(b []geom.Rect) []geom.Rect {
-	out := make([]geom.Rect, len(b))
-	for i := range b {
-		out[i] = b[i].Clone()
+// copyBoxes copies the coordinates of src into dst (same shape).
+func copyBoxes(dst, src []geom.Rect) {
+	for i := range dst {
+		copy(dst[i].Lo, src[i].Lo)
+		copy(dst[i].Hi, src[i].Hi)
 	}
-	return out
+}
+
+// newBoxes allocates n rectangles of dimension d over one backing array.
+func newBoxes(n, d int) []geom.Rect {
+	vals := make([]float64, 2*d*n)
+	rs := make([]geom.Rect, n)
+	for i := range rs {
+		v := vals[2*d*i : 2*d*(i+1) : 2*d*(i+1)]
+		rs[i] = geom.Rect{Lo: v[:d:d], Hi: v[d:]}
+	}
+	return rs
+}
+
+// rectBuf is a reusable set of scratch rectangles.
+type rectBuf struct{ rs []geom.Rect }
+
+// get returns n rectangles of dimension d, reusing the buffer's storage
+// when it is large enough (requests are bounded by a node's fanout, so it
+// stops growing early). Their coordinates are whatever the last user left;
+// the previous result is overwritten.
+func (b *rectBuf) get(n, d int) []geom.Rect {
+	if len(b.rs) < n || (n > 0 && len(b.rs[0].Lo) != d) {
+		b.rs = newBoxes(n, d)
+	}
+	return b.rs[:n]
+}
+
+// writeScratch is the writer's reusable working memory for the insert
+// descent, forced reinsertion and splits, so that placing an entry
+// allocates nothing for its geometry. The mutators run on one goroutine;
+// nothing in it outlives the call that filled it.
+type writeScratch struct {
+	bnd    rectBuf // one entry's boundary (choosePath, refreshEntry, forceReinsert)
+	node   rectBuf // a node's boundary (forceReinsert)
+	grown  rectBuf // grown child boundaries (chooseSubtree), split groups (partitionOverlap)
+	at     rectBuf // every entry's box at one catalog value
+	one    rectBuf // one or two boxes at one catalog value
+	bnds   rectBuf // the U-tree leaf entries' boundaries (chooseSplit)
+	sets   [][]geom.Rect
+	floats []float64
+	cands  []reinsertCand
+	marks  []bool
+}
+
+// floatsZero returns n zeroed scratch floats.
+func (w *writeScratch) floatsZero(n int) []float64 {
+	if cap(w.floats) < n {
+		w.floats = make([]float64, n)
+	}
+	f := w.floats[:n]
+	clear(f)
+	return f
 }
 
 // entrySizes returns the on-page sizes (bytes) of leaf and intermediate

@@ -154,7 +154,7 @@ func (t *Tree) rootBoundaryMBR() geom.Rect {
 	if err != nil || len(n.entries) == 0 {
 		return geom.Rect{}
 	}
-	return t.boxAt(t.nodeBoundary(n), 0)
+	return t.nodeBoundary(n)[0] // boxAt(·, 0) is the first box
 }
 
 // maybeRefreshPlanner is the writer-side hook, called after each commit:

@@ -178,6 +178,9 @@ type Tree struct {
 	// inBatch marks an open explicit batch (BeginBatch/CommitBatch).
 	inBatch bool
 
+	// ws is the writer's scratch memory for insert descents and splits.
+	ws writeScratch
+
 	// Storage-health state (see health.go and scrub.go): the quarantine
 	// registry of condemned pages, the background scrubber's control
 	// block and work queue, and its lifetime progress counters.
@@ -446,7 +449,7 @@ func (t *Tree) Insert(o Object) error {
 	}
 	e.addr = addr
 
-	if err := t.insertEntry(e, 0, make(map[int]bool)); err != nil {
+	if err := t.placeEntry(e, 0); err != nil {
 		return err
 	}
 	t.size++
@@ -464,11 +467,26 @@ type pathElem struct {
 	childIdx int
 }
 
+// levelSet records the levels that already used forced reinsertion within
+// one top-level operation (R* reinserts at most once per level). A tree
+// never reaches 64 levels: that takes more than 4^63 objects.
+type levelSet uint64
+
+func (s *levelSet) add(level int)     { *s |= 1 << level }
+func (s levelSet) has(level int) bool { return s&(1<<level) != 0 }
+
+// placeEntry inserts e at the given level as one top-level operation, with
+// its own forced-reinsertion budget.
+func (t *Tree) placeEntry(e entry, level int) error {
+	var reinserted levelSet
+	return t.insertEntry(e, level, &reinserted)
+}
+
 // insertEntry places e on a node at the target level, handling overflow via
 // forced reinsertion (once per level per top-level operation) and splits.
 // An overfull node is never serialized: reinsertion/split shrink it in
 // memory first.
-func (t *Tree) insertEntry(e entry, level int, reinserted map[int]bool) error {
+func (t *Tree) insertEntry(e entry, level int, reinserted *levelSet) error {
 	n, path, err := t.choosePath(e, level)
 	if err != nil {
 		return err
@@ -500,7 +518,7 @@ func (t *Tree) choosePath(e entry, level int) (*node, []pathElem, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	eBoxes := t.boundary(&e, level == 0)
+	eBoxes := t.boundary(&e, level == 0, t.ws.bnd.get(2, t.dim))
 	var path []pathElem
 	for n.level > level {
 		idx := t.chooseSubtree(n, eBoxes)
@@ -518,41 +536,61 @@ func (t *Tree) choosePath(e entry, level int) (*node, []pathElem, error) {
 // overlap enlargement when children are leaves, else area enlargement, with
 // summed area as tiebreak (the R* criteria with each metric replaced by its
 // sum over the catalog, Section 5.3).
+//
+// The sums run with catalog slot j outermost: each slot's boxes of every
+// child are interpolated once into scratch, and per-child accumulators add
+// the terms in the same order as Σ_j Σ_k, so the choice is bit-identical
+// to summing each child's metrics separately — without allocating.
 func (t *Tree) chooseSubtree(n *node, eBoxes []geom.Rect) int {
-	m := t.cat.Size()
-	best := 0
-	if n.level == 1 {
-		bestOv, bestEnl, bestArea := inf(), inf(), inf()
+	ws := &t.ws
+	ne, nb := len(n.entries), len(eBoxes)
+	grown := ws.grown.get(ne*nb, t.dim)
+	for i := range n.entries {
+		g := grown[i*nb : (i+1)*nb]
+		copyBoxes(g, n.entries[i].boxes)
+		unionBoundaries(g, eBoxes)
+	}
+	acc := ws.floatsZero(3 * ne)
+	dOv, enl, area := acc[:ne], acc[ne:2*ne], acc[2*ne:]
+	at := ws.at.get(ne, t.dim)
+	gj := ws.one.get(1, t.dim)[0]
+	overlaps := n.level == 1
+	for j := 0; j < t.cat.Size(); j++ {
+		for k := range n.entries {
+			t.boxAtInto(at[k], n.entries[k].boxes, j)
+		}
 		for i := range n.entries {
-			grown := t.grownBoxes(n.entries[i].boxes, eBoxes)
-			var dOv float64
-			for j := 0; j < m; j++ {
-				gj := t.boxAt(grown, j)
-				oj := t.boxAt(n.entries[i].boxes, j)
-				for k := range n.entries {
-					if k == i {
-						continue
-					}
-					other := t.boxAt(n.entries[k].boxes, j)
-					dOv += gj.Overlap(other) - oj.Overlap(other)
-				}
+			t.boxAtInto(gj, grown[i*nb:(i+1)*nb], j)
+			oj := at[i]
+			enl[i] += gj.Area() - oj.Area()
+			area[i] += oj.Area()
+			if !overlaps {
+				continue
 			}
-			enl := t.summedEnlargement(n.entries[i].boxes, grown)
-			area := t.summedArea(n.entries[i].boxes)
-			if dOv < bestOv || (dOv == bestOv && enl < bestEnl) ||
-				(dOv == bestOv && enl == bestEnl && area < bestArea) {
-				bestOv, bestEnl, bestArea, best = dOv, enl, area, i
+			inside := gj.Contains(oj)
+			for k := range at {
+				if k == i {
+					continue
+				}
+				gOv := overlap(gj, at[k])
+				if gOv == 0 && inside {
+					// oj ⊆ gj, and Overlap is monotone under rounding,
+					// so oj's overlap is 0 too: the term is 0 − 0.
+					continue
+				}
+				dOv[i] += gOv - overlap(oj, at[k])
 			}
 		}
-		return best
 	}
-	bestEnl, bestArea := inf(), inf()
+	best := 0
+	bestOv, bestEnl, bestArea := inf(), inf(), inf()
 	for i := range n.entries {
-		grown := t.grownBoxes(n.entries[i].boxes, eBoxes)
-		enl := t.summedEnlargement(n.entries[i].boxes, grown)
-		area := t.summedArea(n.entries[i].boxes)
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			bestEnl, bestArea, best = enl, area, i
+		better := enl[i] < bestEnl || (enl[i] == bestEnl && area[i] < bestArea)
+		if overlaps {
+			better = dOv[i] < bestOv || (dOv[i] == bestOv && better)
+		}
+		if better {
+			bestOv, bestEnl, bestArea, best = dOv[i], enl[i], area[i], i
 		}
 	}
 	return best
@@ -560,57 +598,46 @@ func (t *Tree) chooseSubtree(n *node, eBoxes []geom.Rect) int {
 
 func inf() float64 { return 1e308 }
 
-// grownBoxes returns the parent boundary boxes after absorbing eBoxes.
-// Both sets share the same length (2 for U-tree, m for U-PCR).
-func (t *Tree) grownBoxes(parent, eBoxes []geom.Rect) []geom.Rect {
-	g := cloneBoxes(parent)
-	unionBoundaries(g, eBoxes)
-	return g
-}
-
-// summedArea is Σ_j AREA(boxAt(j)).
-func (t *Tree) summedArea(boxes []geom.Rect) float64 {
-	var s float64
-	for j := 0; j < t.cat.Size(); j++ {
-		s += t.boxAt(boxes, j).Area()
-	}
-	return s
-}
-
-// summedMargin is Σ_j MARGIN(boxAt(j)).
-func (t *Tree) summedMargin(boxes []geom.Rect) float64 {
-	var s float64
-	for j := 0; j < t.cat.Size(); j++ {
-		s += t.boxAt(boxes, j).Margin()
-	}
-	return s
-}
-
-// summedEnlargement is Σ_j [AREA(grown_j) − AREA(old_j)].
-func (t *Tree) summedEnlargement(old, grown []geom.Rect) float64 {
-	var s float64
-	for j := 0; j < t.cat.Size(); j++ {
-		s += t.boxAt(grown, j).Area() - t.boxAt(old, j).Area()
-	}
-	return s
-}
-
 // summedCenterDist is Σ_j CDIST(aBoxes_j, bBoxes_j).
 func (t *Tree) summedCenterDist(a, b []geom.Rect) float64 {
+	ab := t.ws.one.get(2, t.dim)
 	var s float64
 	for j := 0; j < t.cat.Size(); j++ {
-		s += t.boxAt(a, j).CenterDist(t.boxAt(b, j))
+		t.boxAtInto(ab[0], a, j)
+		t.boxAtInto(ab[1], b, j)
+		s += centerDist(ab[0], ab[1])
 	}
 	return s
 }
 
-// nodeBoundary computes a node's boundary boxes (union over its entries).
+// nodeBoundary returns a node's boundary boxes (union over its entries) in
+// fresh storage. It touches no writer scratch, so any goroutine may call it.
 func (t *Tree) nodeBoundary(n *node) []geom.Rect {
-	b := cloneBoxes(t.boundary(&n.entries[0], n.leaf()))
-	for i := 1; i < len(n.entries); i++ {
-		unionBoundaries(b, t.boundary(&n.entries[i], n.leaf()))
+	return t.unionBoundary(nil, n, newBoxes(2, t.dim))
+}
+
+// unionBoundary writes n's boundary boxes into dst and returns it; a dst
+// of the wrong shape (nil included) is replaced by fresh storage. scratch
+// (two rectangles) holds each U-tree leaf entry's boundary in turn.
+func (t *Tree) unionBoundary(dst []geom.Rect, n *node, scratch []geom.Rect) []geom.Rect {
+	leaf := n.leaf()
+	b0 := t.boundary(&n.entries[0], leaf, scratch)
+	if len(dst) != len(b0) || len(dst[0].Lo) != t.dim {
+		dst = newBoxes(len(b0), t.dim)
 	}
-	return b
+	copyBoxes(dst, b0)
+	for i := 1; i < len(n.entries); i++ {
+		unionBoundaries(dst, t.boundary(&n.entries[i], leaf, scratch))
+	}
+	return dst
+}
+
+// refreshEntry recomputes the parent entry e over its (mutated) child node
+// in place — e's boxes belong to a privately decoded node — and points it
+// at the child's page, which copy-on-write may have relocated.
+func (t *Tree) refreshEntry(e *entry, child *node) {
+	e.boxes = t.unionBoundary(e.boxes, child, t.ws.bnd.get(2, t.dim))
+	e.child = child.page
 }
 
 // refreshPath recomputes the parent entries' boxes bottom-up along the
@@ -621,8 +648,7 @@ func (t *Tree) refreshPath(path []pathElem, target *node) error {
 	child := target
 	for i := len(path) - 1; i >= 0; i-- {
 		pe := path[i]
-		pe.n.entries[pe.childIdx].boxes = t.nodeBoundary(child)
-		pe.n.entries[pe.childIdx].child = child.page
+		t.refreshEntry(&pe.n.entries[pe.childIdx], child)
 		if err := t.writeNode(pe.n); err != nil {
 			return err
 		}
@@ -634,7 +660,7 @@ func (t *Tree) refreshPath(path []pathElem, target *node) error {
 // handleOverflow applies R* overflow treatment: forced reinsertion the
 // first time a level overflows within one top-level operation (never for
 // the root), split otherwise.
-func (t *Tree) handleOverflow(n *node, path []pathElem, reinserted map[int]bool) error {
+func (t *Tree) handleOverflow(n *node, path []pathElem, reinserted *levelSet) error {
 	capByLevel := t.leafCap
 	if !n.leaf() {
 		capByLevel = t.innerCap
@@ -642,25 +668,31 @@ func (t *Tree) handleOverflow(n *node, path []pathElem, reinserted map[int]bool)
 	if len(n.entries) <= capByLevel {
 		return nil
 	}
-	if len(path) > 0 && !reinserted[n.level] && !t.disableReinsert {
-		reinserted[n.level] = true
+	if len(path) > 0 && !reinserted.has(n.level) && !t.disableReinsert {
+		reinserted.add(n.level)
 		return t.forceReinsert(n, path, reinserted)
 	}
 	return t.split(n, path, reinserted)
 }
 
+// reinsertCand is an entry of an overflowing node with its summed centroid
+// distance from the node's boundary.
+type reinsertCand struct {
+	idx  int
+	dist float64
+}
+
 // forceReinsert removes the 30% of entries whose summed centroid distance
 // from the node's boundary is largest, then reinserts them closest-first.
-func (t *Tree) forceReinsert(n *node, path []pathElem, reinserted map[int]bool) error {
-	nodeBoxes := t.nodeBoundary(n)
-	type cand struct {
-		idx  int
-		dist float64
-	}
-	cands := make([]cand, len(n.entries))
+func (t *Tree) forceReinsert(n *node, path []pathElem, reinserted *levelSet) error {
+	ws := &t.ws
+	scratch := ws.bnd.get(2, t.dim)
+	nodeBoxes := t.unionBoundary(ws.node.get(t.boundaryLen(), t.dim), n, scratch)
+	cands := ws.cands[:0]
 	for i := range n.entries {
-		cands[i] = cand{i, t.summedCenterDist(t.boundary(&n.entries[i], n.leaf()), nodeBoxes)}
+		cands = append(cands, reinsertCand{i, t.summedCenterDist(t.boundary(&n.entries[i], n.leaf(), scratch), nodeBoxes)})
 	}
+	ws.cands = cands
 	// Selection-sort the p farthest (p is small).
 	p := t.reinsertLeaf
 	if !n.leaf() {
@@ -675,14 +707,19 @@ func (t *Tree) forceReinsert(n *node, path []pathElem, reinserted map[int]bool) 
 		}
 		cands[i], cands[maxJ] = cands[maxJ], cands[i]
 	}
-	removeSet := make(map[int]bool, p)
-	removed := make([]entry, 0, p)
-	for i := 0; i < p; i++ {
-		removeSet[cands[i].idx] = true
+	remove := ws.marks[:0]
+	for range n.entries {
+		remove = append(remove, false)
 	}
-	kept := make([]entry, 0, len(n.entries)-p)
+	ws.marks = remove
+	for i := 0; i < p; i++ {
+		remove[cands[i].idx] = true
+	}
+	// removed outlives the scratch: the reinsertions below reuse it.
+	removed := make([]entry, 0, p)
+	kept := n.entries[:0]
 	for i := range n.entries {
-		if removeSet[i] {
+		if remove[i] {
 			removed = append(removed, n.entries[i])
 		} else {
 			kept = append(kept, n.entries[i])
@@ -709,7 +746,7 @@ func (t *Tree) forceReinsert(n *node, path []pathElem, reinserted map[int]bool) 
 // distribution is decided by the R* split applied to the e.MBR(p_median)
 // rectangles of the node's entries (other strategies available as ablation
 // knobs).
-func (t *Tree) split(n *node, path []pathElem, reinserted map[int]bool) error {
+func (t *Tree) split(n *node, path []pathElem, reinserted *levelSet) error {
 	minFill := t.minLeaf
 	if !n.leaf() {
 		minFill = t.minInner
@@ -755,8 +792,7 @@ func (t *Tree) split(n *node, path []pathElem, reinserted map[int]bool) error {
 	}
 
 	parent := path[len(path)-1]
-	parent.n.entries[parent.childIdx].boxes = t.nodeBoundary(n)
-	parent.n.entries[parent.childIdx].child = n.page // COW may have moved n
+	t.refreshEntry(&parent.n.entries[parent.childIdx], n) // COW may have moved n
 	parent.n.entries = append(parent.n.entries, entry{child: sib.page, boxes: t.nodeBoundary(sib)})
 	if len(parent.n.entries) <= t.innerCap {
 		if err := t.writeNode(parent.n); err != nil {
@@ -771,16 +807,21 @@ func (t *Tree) split(n *node, path []pathElem, reinserted map[int]bool) error {
 }
 
 // chooseSplit returns the two index groups for splitting node n according
-// to the tree's split strategy.
+// to the tree's split strategy. The rectangles it feeds the R* split live
+// in writer scratch.
 func (t *Tree) chooseSplit(n *node, minFill int) (left, right []int) {
-	boundaries := make([][]geom.Rect, len(n.entries))
+	ws := &t.ws
+	ne := len(n.entries)
+	leafBnd := ws.bnds.get(2*ne, t.dim)
+	boundaries := ws.sets[:0]
 	for i := range n.entries {
-		boundaries[i] = t.boundary(&n.entries[i], n.leaf())
+		boundaries = append(boundaries, t.boundary(&n.entries[i], n.leaf(), leafBnd[2*i:2*i+2]))
 	}
+	ws.sets = boundaries
+	rects := ws.at.get(ne, t.dim)
 	rectsAt := func(j int) []geom.Rect {
-		rects := make([]geom.Rect, len(boundaries))
 		for i := range boundaries {
-			rects[i] = t.boxAt(boundaries[i], j)
+			t.boxAtInto(rects[i], boundaries[i], j)
 		}
 		return rects
 	}
@@ -808,18 +849,22 @@ func (t *Tree) chooseSplit(n *node, minFill int) (left, right []int) {
 // partitionOverlap scores a candidate split: Σ_j OVERLAP(mbr(left, j),
 // mbr(right, j)).
 func (t *Tree) partitionOverlap(boundaries [][]geom.Rect, li, ri []int) float64 {
-	groupBoxes := func(idx []int) []geom.Rect {
-		g := cloneBoxes(boundaries[idx[0]])
+	nb := len(boundaries[0])
+	groups := t.ws.grown.get(2*nb, t.dim)
+	lb, rb := groups[:nb], groups[nb:]
+	for g, idx := range [2][]int{li, ri} {
+		gb := groups[g*nb : (g+1)*nb]
+		copyBoxes(gb, boundaries[idx[0]])
 		for _, i := range idx[1:] {
-			unionBoundaries(g, boundaries[i])
+			unionBoundaries(gb, boundaries[i])
 		}
-		return g
 	}
-	lb := groupBoxes(li)
-	rb := groupBoxes(ri)
+	ab := t.ws.one.get(2, t.dim)
 	var s float64
 	for j := 0; j < t.cat.Size(); j++ {
-		s += t.boxAt(lb, j).Overlap(t.boxAt(rb, j))
+		t.boxAtInto(ab[0], lb, j)
+		t.boxAtInto(ab[1], rb, j)
+		s += overlap(ab[0], ab[1])
 	}
 	return s
 }

@@ -12,7 +12,7 @@ type Fig11Row struct {
 	Dataset dataset.Name
 	// Per-insertion averages during index construction.
 	InsertIOCostSec float64 // era model over logical page accesses
-	InsertCPUSec    float64 // measured CPU (simplex + PCR computation)
+	InsertCPUSec    float64 // measured CPU (PCRs, CFB fits, descent)
 	InsertWallPerOp time.Duration
 	// Per-deletion averages while draining the index.
 	DeleteIOCostSec float64
@@ -21,8 +21,8 @@ type Fig11Row struct {
 }
 
 // Fig11 reproduces Figure 11: the amortized insertion cost (I/O + CPU
-// breakdown; CPU is dominated by the simplex CFB fitting and PCR
-// computation) during construction of the U-tree on each dataset, then the
+// breakdown; CPU covers the PCR computation, the CFB fits and the
+// summed-metric descent) during construction of the U-tree on each dataset, then the
 // amortized deletion cost while removing every object. The paper's shape:
 // insertions cost ≈ tens of ms dominated by CPU; deletions are several
 // times pricier and I/O-dominated.

@@ -4,10 +4,12 @@
 //	maximize    c·x
 //	subject to  A x ≤ b,   x free
 //
-// It is the solver behind the conservative functional box (CFB) fitting of
-// Section 4.4 of the U-tree paper, which casts the tightest linear
-// over/under-approximation of a PCR family as linear programming and solves
-// it with the classic Simplex method. Free variables are handled by the
+// Section 4.4 of the U-tree paper casts conservative functional box (CFB)
+// fitting — the tightest linear over/under-approximation of a PCR family —
+// as linear programming and solves it with the classic Simplex method.
+// internal/pcr fits CFBs with exact closed forms instead; this package is
+// the oracle its tests and fuzz target check those closed forms against,
+// and no production code imports it. Free variables are handled by the
 // standard x = x⁺ − x⁻ split; infeasibility and unboundedness are detected
 // and reported as errors.
 package lp

@@ -1,10 +1,10 @@
 // Package pcr implements the filtering layer of the U-tree paper:
 // probabilistically constrained regions (PCRs, Section 4.1), the finite
 // U-catalog rules (Observation 2, Section 4.2), conservative functional
-// boxes (CFBs, Sections 4.3–4.4) fitted by linear programming, and the
-// CFB-based rules (Observation 3). It also provides the exact
-// (continuous-p) rules of Observation 1 used for testing and for
-// no-catalog baselines.
+// boxes (CFBs, Sections 4.3–4.4) fitted by the closed-form solutions of
+// the paper's linear programs, and the CFB-based rules (Observation 3). It
+// also provides the exact (continuous-p) rules of Observation 1 used for
+// testing and for no-catalog baselines.
 package pcr
 
 import (

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 )
 
 // Group commit: instead of publishing one commit epoch per mutation (the
@@ -23,8 +24,25 @@ import (
 // restore the pdfs map if the group rolls back.
 type pdfUndo struct {
 	id   int64
-	prev Rect
+	prev flatMBR
 	had  bool
+}
+
+// flatMBR is a region MBR stored as one slice, Lo then Hi, so each tracked
+// id costs one allocation instead of three.
+type flatMBR []float64
+
+func newFlatMBR(r Rect) flatMBR {
+	f := make(flatMBR, 2*len(r.Lo))
+	copy(f, r.Lo)
+	copy(f[len(r.Lo):], r.Hi)
+	return f
+}
+
+// rect views f as a Rect without copying.
+func (f flatMBR) rect() Rect {
+	d := len(f) / 2
+	return Rect{Lo: geom.Point(f[:d:d]), Hi: geom.Point(f[d:])}
 }
 
 // grouping reports whether mutations should accumulate instead of
@@ -44,7 +62,7 @@ func (t *Tree) beginGroupOp() {
 func (t *Tree) trackInsert(id int64, mbr Rect) {
 	prev, had := t.pdfs[id]
 	t.undo = append(t.undo, pdfUndo{id: id, prev: prev, had: had})
-	t.pdfs[id] = mbr
+	t.pdfs[id] = newFlatMBR(mbr)
 }
 
 // trackDelete records the pdfs-map removal for a delete that joined the
@@ -53,6 +71,7 @@ func (t *Tree) trackDelete(id int64) {
 	prev, had := t.pdfs[id]
 	t.undo = append(t.undo, pdfUndo{id: id, prev: prev, had: had})
 	delete(t.pdfs, id)
+	t.pdfDeletes++
 }
 
 // revertUndo replays the open group's bookkeeping journal backwards.
@@ -102,7 +121,25 @@ func (t *Tree) commitGroupNow() error {
 	}
 	t.groupOps = 0
 	t.undo = t.undo[:0]
+	t.compactPDFs()
 	return nil
+}
+
+// compactPDFs rebuilds the pdfs map into a fresh one sized to its length
+// once more keys were deleted since the last rebuild than it now holds. A
+// Go map never shrinks, and under insert/delete churn its table fills with
+// deleted slots and steps up in size; the rebuild bounds it at a small
+// multiple of the live ids. It runs only at a group seal, once the undo
+// journal is cleared, so a rebuild never has to be rolled back.
+func (t *Tree) compactPDFs() {
+	if t.pdfDeletes <= len(t.pdfs) {
+		return
+	}
+	fresh := make(map[int64]flatMBR, len(t.pdfs))
+	for id, mbr := range t.pdfs {
+		fresh[id] = mbr
+	}
+	t.pdfs, t.pdfDeletes = fresh, 0
 }
 
 // commitPending seals the open group if it holds any mutations.

@@ -460,3 +460,51 @@ func TestBackgroundReclaimerPinSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPDFsMapCompactsUnderChurn: under insert/delete churn the id → MBR
+// map is rebuilt at group seals once deletes outnumber the live ids, and
+// the rebuilt map still resolves every live id (Delete(id) works).
+func TestPDFsMapCompactsUnderChurn(t *testing.T) {
+	tree, err := NewTree(Config{Dimensions: 2, ExactRefinement: true, GroupCommitOps: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	rng := rand.New(rand.NewSource(11))
+	const live = 40
+	for id := int64(0); id < live; id++ {
+		if err := tree.Insert(id, batchPDF(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rebuilds := 0
+	for next := int64(live); next < 6*live; next++ {
+		before := tree.pdfDeletes
+		if err := tree.Delete(next - live); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Insert(next, batchPDF(rng)); err != nil {
+			t.Fatal(err)
+		}
+		if tree.pdfDeletes < before {
+			rebuilds++
+		}
+		if tree.pdfDeletes > len(tree.pdfs)+8 {
+			t.Fatalf("%d deletes since the last rebuild with %d live ids", tree.pdfDeletes, len(tree.pdfs))
+		}
+	}
+	if rebuilds < 4 {
+		t.Fatalf("%d map rebuilds over %d deletes of %d live ids, want at least 4", rebuilds, 5*live, live)
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(5 * live); id < 6*live; id++ {
+		if err := tree.Delete(id); err != nil {
+			t.Fatalf("live id %d not resolvable after rebuilds: %v", id, err)
+		}
+	}
+	if n := tree.Len(); n != 0 {
+		t.Fatalf("Len = %d after deleting every live id", n)
+	}
+}

@@ -66,7 +66,7 @@ func (t *Tree) BulkLoad(objects map[int64]PDF) error {
 		return t.rollback(err)
 	}
 	for id, p := range objects {
-		t.pdfs[id] = p.MBR()
+		t.pdfs[id] = newFlatMBR(p.MBR())
 	}
 	return nil
 }

@@ -229,8 +229,11 @@ type Tree struct {
 	meta    pagefile.PageID
 	latency *pagefile.LatencyStore // always interposed by NewTree/OpenTree
 	retry   *pagefile.RetryStore   // nil when Config.RetryAttempts < 0
-	pdfs    map[int64]Rect         // id → region MBR, to make Delete(id) ergonomic
+	pdfs    map[int64]flatMBR      // id → region MBR, to make Delete(id) ergonomic
 	closed  bool                   // set by Close/Discard; makes both idempotent
+	// pdfDeletes counts pdfs deletions since the map was last rebuilt (see
+	// compactPDFs).
+	pdfDeletes int
 
 	// Group-commit state (see Config.GroupCommitOps and batch.go). undo
 	// records the pdfs-map mutations of the open group so a rollback can
@@ -275,7 +278,7 @@ func NewTree(cfg Config) (*Tree, error) {
 	if cfg.UPCR {
 		opt.Kind = core.UPCR
 	}
-	t := &Tree{pdfs: make(map[int64]Rect), gcOps: cfg.GroupCommitOps, gcInterval: cfg.GroupCommitInterval}
+	t := &Tree{pdfs: make(map[int64]flatMBR), gcOps: cfg.GroupCommitOps, gcInterval: cfg.GroupCommitInterval}
 	if cfg.Path != "" {
 		fs, err := pagefile.CreateFileStore(cfg.Path)
 		if err != nil {
@@ -429,7 +432,7 @@ func (t *Tree) deleteLocked(id int64) error {
 	if !ok {
 		return fmt.Errorf("uncertain: id %d not tracked in this session; use DeleteWithRegion", id)
 	}
-	return t.deleteWithRegionLocked(id, mbr)
+	return t.deleteWithRegionLocked(id, mbr.rect())
 }
 
 // DeleteWithRegion removes an object by ID and its region MBR (the pdf's
@@ -692,7 +695,7 @@ func OpenTree(path string, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{file: fs, meta: 1, pdfs: make(map[int64]Rect), gcOps: cfg.GroupCommitOps, gcInterval: cfg.GroupCommitInterval}
+	t := &Tree{file: fs, meta: 1, pdfs: make(map[int64]flatMBR), gcOps: cfg.GroupCommitOps, gcInterval: cfg.GroupCommitInterval}
 	var base pagefile.Store = fs
 	if cfg.WrapStore != nil {
 		base = cfg.WrapStore(base)
